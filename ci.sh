@@ -1,10 +1,10 @@
 #!/bin/sh
-# CI entry point: build, run the tier-1 test suite, then smoke the
-# pipeline with the differential oracle — 100 synthetic programs at a
-# fixed seed, compiled at O0-O3 under both pipelines with the
-# pass-boundary sanitizer on, executed on the VM and diffed against the
-# source interpreter — then exercise the persistent artifact cache
-# (cold/warm byte-identity, disk hits, clear) and run the
+# CI entry point: build, run the tier-1 test suite and the benchmark's
+# self-test, then smoke the pipeline with the differential oracle — 100
+# synthetic programs at a fixed seed, compiled at O0-O3 under both
+# pipelines with the pass-boundary sanitizer on, executed on the VM and
+# diffed against the source interpreter — then exercise the persistent
+# artifact cache (cold/warm byte-identity, disk hits, clear) and run the
 # benchmark-regression gate against the committed BENCH_baseline.json.
 #
 # Deterministic up to timing: lines bracketed [like this] carry wall
@@ -36,6 +36,12 @@ dune build
 
 echo "== dune runtest =="
 dune runtest
+
+echo "== perfbench self-test (deterministic counts and digests) =="
+# Two traced runs of one seed per benchmark workload must agree exactly
+# on the deterministic work counts and the table/frontier/response
+# digests, and the per-layer accounting must add up (perfbench/README.md).
+dune build ./perfbench/selftest.exe && ./_build/default/perfbench/selftest.exe 11
 
 echo "== differential fuzz smoke (100 programs, seed 1) =="
 dune exec bin/debugtuner_cli.exe -- check --fuzz 100 --seed 1 \

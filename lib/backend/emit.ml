@@ -145,6 +145,21 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
     incr next_addr
   in
   let debug = Dwarfish.empty () in
+  (* Location lists are gathered per variable over the whole program and
+     stored in [debug.vars] once, in first-seen order, with each
+     variable's ranges in the order they were found. *)
+  let var_infos : (Ir.var_id, Dwarfish.var_info) Hashtbl.t = Hashtbl.create 64 in
+  let var_order = ref [] in
+  let add_range ~var ~is_array range =
+    match Hashtbl.find_opt var_infos var with
+    | Some vi -> vi.Dwarfish.vi_ranges <- range :: vi.Dwarfish.vi_ranges
+    | None ->
+        let vi =
+          { Dwarfish.vi_var = var; vi_is_array = is_array; vi_ranges = [ range ] }
+        in
+        Hashtbl.replace var_infos var vi;
+        var_order := vi :: !var_order
+  in
   let funcs = ref [] in
   let fn_by_name = Hashtbl.create 16 in
   (* ICF: functions whose canonical text matches an earlier function
@@ -241,32 +256,32 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
           emit_blocks layout;
           (* Location lists: dataflow over blocks, then per-block range
              emission. *)
-          let preds = Hashtbl.create 16 in
-          List.iter (fun l -> Hashtbl.replace preds l []) layout;
-          let rec succs_of = function
-            | [] -> ()
-            | l :: rest ->
-                let b = Mach.mblock m l in
-                let add s =
-                  match Hashtbl.find_opt preds s with
-                  | Some ps -> Hashtbl.replace preds s (l :: ps)
-                  | None -> ()
-                in
-                List.iter add (Mach.msuccs b.Mach.mterm);
-                succs_of rest
+          let layout_arr = Array.of_list layout in
+          let n = Array.length layout_arr in
+          let pos = Hashtbl.create 16 in
+          Array.iteri (fun i l -> Hashtbl.replace pos l i) layout_arr;
+          let preds = Array.make n [] and succs = Array.make n [] in
+          Array.iteri
+            (fun i l ->
+              List.iter
+                (fun s ->
+                  match Hashtbl.find_opt pos s with
+                  | Some j ->
+                      preds.(j) <- i :: preds.(j);
+                      succs.(i) <- j :: succs.(i)
+                  | None -> ())
+                (Mach.msuccs (Mach.mblock m l).Mach.mterm))
+            layout_arr;
+          let block_events =
+            Array.map (fun l -> List.rev_map snd !(Hashtbl.find events l)) layout_arr
           in
-          succs_of layout;
-          let block_out : (int, binding Var_map.t) Hashtbl.t = Hashtbl.create 16 in
-          let block_in : (int, binding Var_map.t) Hashtbl.t = Hashtbl.create 16 in
-          let transfer l env0 =
-            let evs = List.rev !(Hashtbl.find events l) in
+          let transfer evs env0 =
             List.fold_left
-              (fun env (_, ev) ->
+              (fun env ev ->
                 match ev with
                 | Bind (v, Some d) -> Var_map.add v d env
                 | Bind (v, None) -> Var_map.remove v env
-                | Write w ->
-                    Var_map.filter (fun _ d -> d <> Mach.Dloc w) env)
+                | Write w -> Var_map.filter (fun _ d -> d <> Mach.Dloc w) env)
               env0 evs
           in
           (* Optimistic (top-initialized) fixpoint: a block whose
@@ -274,41 +289,51 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
              stays at top — so every defined in/out only ever loses
              bindings and the iteration terminates. (Treating unvisited
              inputs as bottom instead makes the dataflow non-monotone and
-             can oscillate forever on loopy layouts.) *)
-          let changed = ref true in
-          while !changed do
-            changed := false;
-            List.iter
-              (fun l ->
-                let pred_outs =
-                  List.filter_map (Hashtbl.find_opt block_out)
-                    (Hashtbl.find preds l)
-                in
+             can oscillate forever on loopy layouts.) The transfer is
+             monotone and the meet is an intersection, so any visiting
+             order reaches the same (greatest) fixpoint: passes over the
+             layout revisit only blocks a predecessor's output changed
+             under. *)
+          let block_in = Array.make n None and block_out = Array.make n None in
+          let dirty = Array.make n false in
+          Option.iter
+            (fun e -> dirty.(e) <- true)
+            (Hashtbl.find_opt pos m.Mach.mf_entry);
+          let again = ref true in
+          while !again do
+            again := false;
+            for i = 0 to n - 1 do
+              if dirty.(i) then begin
+                dirty.(i) <- false;
                 let inn_opt =
-                  if l = m.Mach.mf_entry then Some Var_map.empty
+                  if layout_arr.(i) = m.Mach.mf_entry then Some Var_map.empty
                   else
-                    match pred_outs with
+                    match List.filter_map (Array.get block_out) preds.(i) with
                     | [] -> None (* all predecessors still at top *)
                     | first :: rest -> Some (List.fold_left meet_env first rest)
                 in
                 match inn_opt with
                 | None -> ()
                 | Some inn ->
-                    let out = transfer l inn in
-                    let same map tbl =
-                      match Hashtbl.find_opt tbl l with
-                      | Some old -> Var_map.equal ( = ) old map
+                    block_in.(i) <- inn_opt;
+                    let out = transfer block_events.(i) inn in
+                    let same =
+                      match block_out.(i) with
+                      | Some old -> Var_map.equal ( = ) old out
                       | None -> false
                     in
-                    if not (same inn block_in && same out block_out) then begin
-                      Hashtbl.replace block_in l inn;
-                      Hashtbl.replace block_out l out;
-                      changed := true
-                    end)
-              layout
+                    if not same then begin
+                      block_out.(i) <- Some out;
+                      List.iter
+                        (fun j ->
+                          dirty.(j) <- true;
+                          if j <= i then again := true)
+                        succs.(i)
+                    end
+              end
+            done
           done;
           (* Range emission. *)
-          let layout_arr = Array.of_list layout in
           Array.iteri
             (fun i l ->
               let bstart = Hashtbl.find block_addr l in
@@ -319,9 +344,7 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
               in
               let open_ranges = ref Var_map.empty in
               let ghost_ranges = ref Var_map.empty in
-              let start_env =
-                Option.value ~default:Var_map.empty (Hashtbl.find_opt block_in l)
-              in
+              let start_env = Option.value ~default:Var_map.empty block_in.(i) in
               Var_map.iter
                 (fun v d -> open_ranges := Var_map.add v (bstart, d) !open_ranges)
                 start_env;
@@ -329,15 +352,13 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                 match Var_map.find_opt v !open_ranges with
                 | Some (lo, d) ->
                     if addr > lo then
-                      Dwarfish.add_var debug ~var:v ~is_array:false
-                        [
-                          {
-                            Dwarfish.lo;
-                            hi = addr;
-                            where = dloc_to_location ~data_words d;
-                            usable = true;
-                          };
-                        ];
+                      add_range ~var:v ~is_array:false
+                        {
+                          Dwarfish.lo;
+                          hi = addr;
+                          where = dloc_to_location ~data_words d;
+                          usable = true;
+                        };
                     open_ranges := Var_map.remove v !open_ranges;
                     (* gcc-style variable tracking: the value still has a
                        recoverable expression, emitted as an entry-value
@@ -350,15 +371,13 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                 match Var_map.find_opt v !ghost_ranges with
                 | Some (lo, d) ->
                     if addr > lo then
-                      Dwarfish.add_var debug ~var:v ~is_array:false
-                        [
-                          {
-                            Dwarfish.lo;
-                            hi = addr;
-                            where = dloc_to_location ~data_words d;
-                            usable = false;
-                          };
-                        ];
+                      add_range ~var:v ~is_array:false
+                        {
+                          Dwarfish.lo;
+                          hi = addr;
+                          where = dloc_to_location ~data_words d;
+                          usable = false;
+                        };
                     ghost_ranges := Var_map.remove v !ghost_ranges
                 | None -> ()
               in
@@ -418,15 +437,13 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                   in
                   (match offset with
                   | Some o ->
-                      Dwarfish.add_var debug ~var:v ~is_array:fs.Mach.fs_array
-                        [
-                          {
-                            Dwarfish.lo = static_start;
-                            hi = fn_end;
-                            where = Dwarfish.In_slot o;
-                            usable = true;
-                          };
-                        ]
+                      add_range ~var:v ~is_array:fs.Mach.fs_array
+                        {
+                          Dwarfish.lo = static_start;
+                          hi = fn_end;
+                          where = Dwarfish.In_slot o;
+                          usable = true;
+                        }
                   | None -> ())
               | None -> ())
             m.Mach.mf_frame;
@@ -444,6 +461,12 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
             }
             :: !funcs)
     prog.Mach.mfuncs;
+  debug.Dwarfish.vars <-
+    List.rev_map
+      (fun (vi : Dwarfish.var_info) ->
+        vi.Dwarfish.vi_ranges <- List.rev vi.Dwarfish.vi_ranges;
+        vi)
+      !var_order;
   Dwarfish.finalize debug;
   let code = Array.of_list (List.rev !code) in
   let line_of = Array.of_list (List.rev !line_of) in

@@ -219,11 +219,14 @@ let sink (m : Mach.mfn) =
 
 let tail_key (i : Mach.minstr) = Mach.mkind_to_string i.Mach.mk
 
-let tail_merge (m : Mach.mfn) =
-  (* Pairs of blocks with the same terminator whose instruction suffixes
-     coincide: move the common suffix into a fresh block both jump to.
-     The fresh block takes the FIRST block's lines; the second copy's
-     line entries are gone. *)
+(* One round: the first pair of blocks (in layout order) with the same
+   terminator whose instruction suffixes coincide gets the common suffix
+   moved into a fresh block both jump to. The fresh block takes the
+   FIRST block's lines; the second copy's line entries are gone.
+   [tails] caches each block's real instructions, last first, with their
+   keys; the round drops the entries of the two blocks it edits. Returns
+   whether a pair merged. *)
+let tail_merge tails (m : Mach.mfn) =
   let same_term a b =
     match (a, b) with
     | Mach.Mjmp x, Mach.Mjmp y -> x = y
@@ -231,84 +234,93 @@ let tail_merge (m : Mach.mfn) =
     | Mach.Mret (Some x), Mach.Mret (Some y) -> x = y
     | _ -> false
   in
-  let labels = m.Mach.mf_layout in
-  let merged = ref false in
-  List.iteri
-    (fun ai a_l ->
-      List.iteri
-        (fun bi b_l ->
-          if (not !merged) && bi > ai then begin
-            match (Hashtbl.find_opt m.Mach.mf_blocks a_l,
-                   Hashtbl.find_opt m.Mach.mf_blocks b_l) with
-            | Some a, Some b when same_term a.Mach.mterm b.Mach.mterm ->
-                let ra =
-                  List.rev
-                    (List.filter
-                       (fun (i : Mach.minstr) ->
-                         match i.Mach.mk with Mach.Mdbg _ -> false | _ -> true)
-                       a.Mach.mins)
-                and rb =
-                  List.rev
-                    (List.filter
-                       (fun (i : Mach.minstr) ->
-                         match i.Mach.mk with Mach.Mdbg _ -> false | _ -> true)
-                       b.Mach.mins)
-                in
-                let rec common acc (xs : Mach.minstr list) (ys : Mach.minstr list)
-                    =
-                  match (xs, ys) with
-                  | x :: xs', y :: ys' when tail_key x = tail_key y ->
-                      common (x :: acc) xs' ys'
-                  | _ -> acc
-                in
-                let suffix = common [] ra rb in
-                let k = List.length suffix in
-                if k >= 2 then begin
-                  merged := true;
-                  (* New label reusing a fresh id. *)
-                  let fresh =
-                    1
-                    + Hashtbl.fold (fun l _ acc -> max l acc) m.Mach.mf_blocks 0
-                  in
-                  let nb =
-                    {
-                      Mach.mb_label = fresh;
-                      mins = suffix;
-                      mterm = a.Mach.mterm;
-                      mterm_line = a.Mach.mterm_line;
-                      mb_prob = 1.0;
-                      mb_freq = a.Mach.mb_freq +. b.Mach.mb_freq;
-                    }
-                  in
-                  Hashtbl.replace m.Mach.mf_blocks fresh nb;
-                  let chop (blk : Mach.mblock) =
-                    (* Remove the last k real instructions (and any Mdbg
-                       interleaved after the cut keeps its place). *)
-                    let rec drop n acc = function
-                      | [] -> List.rev acc
-                      | (i : Mach.minstr) :: rest -> (
-                          match i.Mach.mk with
-                          | Mach.Mdbg _ when n > 0 -> drop n acc rest
-                          | _ when n > 0 -> drop (n - 1) acc rest
-                          | _ -> drop 0 (i :: acc) rest)
-                    in
-                    blk.Mach.mins <- List.rev (drop k [] (List.rev blk.Mach.mins));
-                    blk.Mach.mterm <- Mach.Mjmp fresh
-                  in
-                  chop a;
-                  chop b;
-                  m.Mach.mf_layout <- m.Mach.mf_layout @ [ fresh ]
-                end
-            | _ -> ()
-          end)
-        labels)
-    labels
+  let tail (blk : Mach.mblock) =
+    match Hashtbl.find_opt tails blk.Mach.mb_label with
+    | Some t -> t
+    | None ->
+        let t =
+          List.rev
+            (List.filter_map
+               (fun (i : Mach.minstr) ->
+                 match i.Mach.mk with
+                 | Mach.Mdbg _ -> None
+                 | _ -> Some (tail_key i, i))
+               blk.Mach.mins)
+        in
+        Hashtbl.replace tails blk.Mach.mb_label t;
+        t
+  in
+  let rec common acc xs ys =
+    match (xs, ys) with
+    | (kx, x) :: xs', (ky, _) :: ys' when String.equal kx ky ->
+        common (x :: acc) xs' ys'
+    | _ -> acc
+  in
+  let merge (a : Mach.mblock) (b : Mach.mblock) suffix =
+    let k = List.length suffix in
+    (* New label reusing a fresh id. *)
+    let fresh =
+      1 + Hashtbl.fold (fun l _ acc -> max l acc) m.Mach.mf_blocks 0
+    in
+    let nb =
+      {
+        Mach.mb_label = fresh;
+        mins = suffix;
+        mterm = a.Mach.mterm;
+        mterm_line = a.Mach.mterm_line;
+        mb_prob = 1.0;
+        mb_freq = a.Mach.mb_freq +. b.Mach.mb_freq;
+      }
+    in
+    Hashtbl.replace m.Mach.mf_blocks fresh nb;
+    let chop (blk : Mach.mblock) =
+      (* Remove the last k real instructions (and any Mdbg
+         interleaved after the cut keeps its place). *)
+      let rec drop n acc = function
+        | [] -> List.rev acc
+        | (i : Mach.minstr) :: rest -> (
+            match i.Mach.mk with
+            | Mach.Mdbg _ when n > 0 -> drop n acc rest
+            | _ when n > 0 -> drop (n - 1) acc rest
+            | _ -> drop 0 (i :: acc) rest)
+      in
+      blk.Mach.mins <- List.rev (drop k [] (List.rev blk.Mach.mins));
+      blk.Mach.mterm <- Mach.Mjmp fresh;
+      Hashtbl.remove tails blk.Mach.mb_label
+    in
+    chop a;
+    chop b;
+    m.Mach.mf_layout <- m.Mach.mf_layout @ [ fresh ]
+  in
+  let rec first_pair = function
+    | [] -> false
+    | a_l :: later -> (
+        match Hashtbl.find_opt m.Mach.mf_blocks a_l with
+        | None -> first_pair later
+        | Some a ->
+            let rec with_a = function
+              | [] -> first_pair later
+              | b_l :: rest -> (
+                  match Hashtbl.find_opt m.Mach.mf_blocks b_l with
+                  | Some b when same_term a.Mach.mterm b.Mach.mterm ->
+                      let suffix = common [] (tail a) (tail b) in
+                      if List.compare_length_with suffix 2 >= 0 then begin
+                        merge a b suffix;
+                        true
+                      end
+                      else with_a rest
+                  | _ -> with_a rest)
+            in
+            with_a later)
+  in
+  first_pair m.Mach.mf_layout
 
 let tail_merge_all (m : Mach.mfn) =
-  (* Iterate a few times; each call merges at most one pair. *)
-  for _ = 1 to 8 do
-    tail_merge m
-  done
+  (* Up to 8 rounds of one merge each. A round that merges nothing leaves
+     the function unchanged, so every later round would too: stop there. *)
+  let tails = Hashtbl.create 16 in
+  let rec rounds n = n > 0 && tail_merge tails m && rounds (n - 1) in
+  ignore (rounds 8)
 
 (* ------------------------------------------------------------------ *)
 (* Block placement                                                     *)

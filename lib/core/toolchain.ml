@@ -181,7 +181,7 @@ let gcc_pipeline (level : Config.level) : entry list =
   let o2_extras =
     [
       simple "tree-ivopts" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Lsr.run fn)) p.Ir.funcs);
+          Ir.iter_funcs (fun fn -> ignore (Lsr.run fn)) p);
       simple "dse" (fun p -> ignore (Dse.run p));
       Ir_pass
         ( "expensive-opts",
@@ -197,7 +197,7 @@ let gcc_pipeline (level : Config.level) : entry list =
   let o3_extras =
     [
       simple "cunroll" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Loop_unroll.run fn ~factor:2)) p.Ir.funcs);
+          Ir.iter_funcs (fun fn -> ignore (Loop_unroll.run fn ~factor:2)) p);
       simple "tree-slp-vectorize" Slp.run_program;
     ]
   in
@@ -255,7 +255,7 @@ let clang_pipeline (level : Config.level) : entry list =
       simple "LoopRotate" Loop_rotate.run_program;
       simple "LICM" Licm.run_program;
       simple "LoopStrengthReduce" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Lsr.run fn)) p.Ir.funcs);
+          Ir.iter_funcs (fun fn -> ignore (Lsr.run fn)) p);
       simple "SimplifyCFG" Simplify_cfg.run_program;
       simple "InstCombine" Instcombine.run_program;
       simple "EarlyCSE" (fun p -> Cse.run_local_program p);
@@ -269,14 +269,14 @@ let clang_pipeline (level : Config.level) : entry list =
       simple "JumpThreading" Jump_threading.run_program;
       simple "DSE" (fun p -> ignore (Dse.run p));
       simple "LoopUnroll" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Loop_unroll.run fn ~factor:2)) p.Ir.funcs);
+          Ir.iter_funcs (fun fn -> ignore (Loop_unroll.run fn ~factor:2)) p);
       simple "SimplifyCFG" Simplify_cfg.run_program;
     ]
   in
   let o3 =
     [
       simple "LoopUnroll" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Loop_unroll.run fn ~factor:2)) p.Ir.funcs);
+          Ir.iter_funcs (fun fn -> ignore (Loop_unroll.run fn ~factor:2)) p);
       simple "SLPVectorizer" Slp.run_program;
     ]
   in
@@ -422,7 +422,7 @@ let ir_prelude (options : Options.t) src ~(config : Config.t) ~roots ~notify =
   if config.Config.level <> Config.O0 then begin
     (* into-ssa: neither compiler lets you opt out of SSA
        construction. *)
-    Hashtbl.iter (fun _ fn -> Mem2reg.run fn) prog.Ir.funcs;
+    Ir.iter_funcs Mem2reg.run prog;
     Cleanup.run_program prog;
     notify prog (Ran_pass "mem2reg");
     (* clang's register allocator always coalesces and shares stack

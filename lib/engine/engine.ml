@@ -113,6 +113,7 @@ module Disk_store = struct
     mutable s_evicted_ext : int;
         (** entries this handle published that later vanished from disk —
             evicted by another process sharing the directory *)
+    mutable s_write_errors : int;  (** puts that failed on an I/O error *)
   }
 
   type t = {
@@ -148,6 +149,7 @@ module Disk_store = struct
             s_stale = 0;
             s_evicted = 0;
             s_evicted_ext = 0;
+            s_write_errors = 0;
           }
         in
         Hashtbl.replace t.cells name c;
@@ -336,16 +338,17 @@ module Disk_store = struct
 
   let put t ~cache ~key data =
     wrapped "store:put" [ ("cache", cache) ] @@ fun () ->
+    let path = entry_path t ~cache ~key in
+    let tmp =
+      Filename.concat (tmp_dir t)
+        (Printf.sprintf "%d-%d.tmp" (Unix.getpid ())
+           (Atomic.fetch_and_add tmp_seq 1))
+    in
     (* A failed write (disk full, permissions, racing eviction) must
-       never fail the measurement — the store degrades to a miss. *)
+       never fail the measurement — the store degrades to a miss — but it
+       is counted, and its temp file removed. *)
     try
-      let path = entry_path t ~cache ~key in
       mkdir_p (Filename.dirname path);
-      let tmp =
-        Filename.concat (tmp_dir t)
-          (Printf.sprintf "%d-%d.tmp" (Unix.getpid ())
-             (Atomic.fetch_and_add tmp_seq 1))
-      in
       mkdir_p (tmp_dir t);
       let oc = open_out_bin tmp in
       let bytes =
@@ -372,7 +375,10 @@ module Disk_store = struct
           Hashtbl.replace t.written path ();
           t.size <- max 0 (t.size + bytes - replaced);
           if t.size > t.max_bytes then evict_locked t)
-    with _ -> ()
+    with Sys_error _ | Unix.Unix_error _ ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      bump t cache (fun c -> c.s_write_errors <- c.s_write_errors + 1);
+      note cache "write_errors" 1
 
   let get t ~cache ~key =
     wrapped "store:get" [ ("cache", cache) ] @@ fun () ->
@@ -520,6 +526,7 @@ module Disk_store = struct
         :: (name ^ "/stale", c.s_stale)
         :: (name ^ "/evicted", c.s_evicted)
         :: (name ^ "/evicted_ext", c.s_evicted_ext)
+        :: (name ^ "/write_errors", c.s_write_errors)
         :: acc)
       t.cells []
     |> List.sort compare

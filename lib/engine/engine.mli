@@ -108,7 +108,9 @@ module Disk_store : sig
 
   val put : t -> cache:string -> key:string -> string -> unit
   (** Publish an entry atomically (write to a temp file, then rename).
-      Failures are swallowed: the store degrades to a miss. *)
+      An I/O failure ([Sys_error], [Unix_error]) removes the temp file
+      and is counted as a [write_errors] row; the store degrades to a
+      miss. *)
 
   val invalidate : t -> cache:string -> key:string -> unit
   (** Evict one entry and count it as corrupt — for callers whose
@@ -131,7 +133,7 @@ module Disk_store : sig
 
   val counters : t -> (string * int) list
   (** This handle's activity as flat rows —
-      [<cache>/hits|misses|writes|corrupt|stale|evicted|evicted_ext] —
+      [<cache>/hits|misses|writes|corrupt|stale|evicted|evicted_ext|write_errors] —
       sorted; zero rows included (renderers filter). [evicted] counts
       this handle's own LRU/gc removals; [evicted_ext] counts entries
       this handle published that later vanished from disk, i.e.

@@ -86,7 +86,7 @@ let check_fn (fn : Ir.fn) =
     fn.Ir.blocks
 
 (** [check p] verifies every function; raises {!Invalid} on breakage. *)
-let check (p : Ir.program) = Hashtbl.iter (fun _ fn -> check_fn fn) p.Ir.funcs
+let check (p : Ir.program) = Ir.iter_funcs check_fn p
 
 (** [check_bool p] is [true] when [p] verifies. *)
 let check_bool p =

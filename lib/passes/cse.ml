@@ -11,10 +11,6 @@
     the surviving value, so variable values survive; the line entry of the
     removed instruction does not — the classic CSE debug signature. *)
 
-let addr_key (a : Ir.addr) =
-  Printf.sprintf "%s[%s]" (Ir.base_to_string a.Ir.base)
-    (Ir.operand_to_string a.Ir.index)
-
 let stored_bases (fn : Ir.fn) =
   let tbl = Hashtbl.create 16 in
   Ir.iter_instrs fn (fun _ i ->
@@ -38,38 +34,30 @@ let run_local ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
       let values = Hashtbl.create 32 in
       let loads = Hashtbl.create 16 in
       let subst = Hashtbl.create 8 in
-      let resolve o =
-        match o with
-        | Ir.Reg r -> (
-            match Hashtbl.find_opt subst r with Some o' -> o' | None -> o)
-        | Ir.Imm _ -> o
-      in
       b.Ir.instrs <-
         List.filter
           (fun (i : Ir.instr) ->
             i.Ir.ik <- Ir.subst_uses (fun r -> Hashtbl.find_opt subst r) i.Ir.ik;
-            ignore resolve;
             match i.Ir.ik with
             | Ir.Store (a, _) ->
                 (* Conservative: any store invalidates remembered loads
                    from the same base; unknown index kills the base. *)
-                Hashtbl.iter
-                  (fun k (base, _) ->
-                    if base = a.Ir.base then Hashtbl.remove loads k)
-                  (Hashtbl.copy loads);
+                Hashtbl.filter_map_inplace
+                  (fun (la : Ir.addr) prev ->
+                    if la.Ir.base = a.Ir.base then None else Some prev)
+                  loads;
                 true
             | Ir.Call (_, f, _) when not (pure_calls f) ->
                 Hashtbl.reset loads;
                 true
             | Ir.Load (d, a) -> (
-                let k = addr_key a in
-                match Hashtbl.find_opt loads k with
-                | Some (_, prev) ->
+                match Hashtbl.find_opt loads a with
+                | Some prev ->
                     Hashtbl.replace subst d (Ir.Reg prev);
                     incr removed;
                     false
                 | None ->
-                    Hashtbl.replace loads k (a.Ir.base, d);
+                    Hashtbl.replace loads a d;
                     true)
             | ik when Putil.pure_ikind ~pure_calls ik -> (
                 match (Putil.value_key ik, Ir.def_of_ikind ik) with
@@ -96,10 +84,13 @@ let run_global ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
   let stored = stored_bases fn in
   let impure_fn = has_calls_or_io fn in
   let subst = Hashtbl.create 16 in
-  (* Scoped hash table: an association list stack per dominator path. *)
-  let rec walk label (scope : (string * Ir.reg) list) =
+  (* Scoped hash table over the dominator walk: a block's new keys are
+     added on entry and removed once its dominator subtree is done, so a
+     value is reused only where its definition dominates. *)
+  let scope : (Ir.ikind, Ir.reg) Hashtbl.t = Hashtbl.create 64 in
+  let rec walk label =
     let b = Ir.block fn label in
-    let scope = ref scope in
+    let added = ref [] in
     b.Ir.instrs <-
       List.filter
         (fun (i : Ir.instr) ->
@@ -117,29 +108,28 @@ let run_global ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
           else
             let key =
               match i.Ir.ik with
-              | Ir.Load (_, a) -> Some ("load:" ^ addr_key a)
-              | Ir.Call (_, f, args) ->
-                  Some
-                    (Printf.sprintf "call:%s(%s)" f
-                       (String.concat "," (List.map Ir.operand_to_string args)))
+              | Ir.Load (_, a) -> Some (Ir.Load (0, a))
+              | Ir.Call (_, f, args) -> Some (Ir.Call (Some 0, f, args))
               | ik -> Putil.value_key ik
             in
             match (key, Ir.def_of_ikind i.Ir.ik) with
             | Some key, [ d ] -> (
-                match List.assoc_opt key !scope with
+                match Hashtbl.find_opt scope key with
                 | Some prev ->
                     Hashtbl.replace subst d (Ir.Reg prev);
                     incr removed;
                     false
                 | None ->
-                    scope := (key, d) :: !scope;
+                    Hashtbl.replace scope key d;
+                    added := key :: !added;
                     true)
             | _ -> true)
         b.Ir.instrs;
     b.Ir.term <- Ir.subst_term (fun r -> Hashtbl.find_opt subst r) b.Ir.term;
-    List.iter (fun c -> walk c !scope) (Dom.children dom label)
+    List.iter walk (Dom.children dom label);
+    List.iter (Hashtbl.remove scope) !added
   in
-  walk fn.Ir.entry [];
+  walk fn.Ir.entry;
   (* Phi arguments may still reference removed registers. *)
   Putil.replace_uses fn subst;
   !removed

@@ -13,29 +13,23 @@
     stored value if it is still available, or optimized-out otherwise —
     the same trade gcc's -Og refuses to make (paper refs [12], [13]). *)
 
-let addr_key (a : Ir.addr) =
-  Printf.sprintf "%s[%s]" (Ir.base_to_string a.Ir.base)
-    (Ir.operand_to_string a.Ir.index)
+(* A base's identity across the program: slots are per function,
+   globals shared. *)
+let base_key (fn : Ir.fn) = function
+  | Ir.Global _ as base -> ("", base)
+  | Ir.Slot _ as base -> (fn.Ir.f_name, base)
 
-(* Bases loaded anywhere in the function/program. *)
+(* Bases loaded anywhere in the program. *)
 let loaded_bases (p : Ir.program) =
   let tbl = Hashtbl.create 32 in
   Hashtbl.iter
     (fun _ fn ->
       Ir.iter_instrs fn (fun _ i ->
           match i.Ir.ik with
-          | Ir.Load (_, a) -> (
-              match a.Ir.base with
-              | Ir.Global g -> Hashtbl.replace tbl ("g:" ^ g) ()
-              | Ir.Slot s ->
-                  Hashtbl.replace tbl (Printf.sprintf "s:%s:%d" fn.Ir.f_name s) ())
+          | Ir.Load (_, a) -> Hashtbl.replace tbl (base_key fn a.Ir.base) ()
           | _ -> ()))
     p.Ir.funcs;
   tbl
-
-let base_key (fn : Ir.fn) = function
-  | Ir.Global g -> "g:" ^ g
-  | Ir.Slot s -> Printf.sprintf "s:%s:%d" fn.Ir.f_name s
 
 let var_of_slot (fn : Ir.fn) = function
   | Ir.Slot s ->
@@ -68,7 +62,7 @@ let run_fn (fn : Ir.fn) ~loaded =
      addresses stored after the current point with nothing observing
      memory in between. *)
   Ir.iter_blocks fn (fun b ->
-      let pending : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+      let pending : (Ir.addr, unit) Hashtbl.t = Hashtbl.create 8 in
       let observes = function
         | Ir.Load _ | Ir.Call _ | Ir.Input _ | Ir.Output _ -> true
         | _ -> false
@@ -78,8 +72,7 @@ let run_fn (fn : Ir.fn) ~loaded =
           (fun acc (i : Ir.instr) ->
             match i.Ir.ik with
             | Ir.Store (a, v) ->
-                let k = addr_key a in
-                if Hashtbl.mem pending k then begin
+                if Hashtbl.mem pending a then begin
                   (* This store is overwritten later with no observer in
                      between: dead. *)
                   incr removed;
@@ -89,7 +82,7 @@ let run_fn (fn : Ir.fn) ~loaded =
                   | None -> acc
                 end
                 else begin
-                  Hashtbl.replace pending k ();
+                  Hashtbl.replace pending a ();
                   i :: acc
                 end
             | ik when observes ik ->

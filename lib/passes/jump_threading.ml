@@ -16,23 +16,28 @@
     the new join splits location ranges — the mechanical losses behind
     this pass's high ranking in the paper. *)
 
+(* Register -> the comparison of a register with a constant that
+   defines it (the last in layout order, should there be several): the
+   def index {!cond_cmp} reads. Threading's repair substitution rewrites
+   compare operands, so the index is rebuilt after every thread. *)
+let cmp_defs (fn : Ir.fn) =
+  let defs = Hashtbl.create 64 in
+  Ir.iter_instrs fn (fun _ i ->
+      match i.Ir.ik with
+      | Ir.Bin (op, d, Ir.Reg x, Ir.Imm c) -> Hashtbl.replace defs d (op, x, c)
+      | _ -> ());
+  defs
+
 (* The comparison (if any) defining a block's branch condition. *)
-let cond_cmp (fn : Ir.fn) (b : Ir.block) =
+let cond_cmp defs (b : Ir.block) =
   match b.Ir.term with
-  | Ir.Cbr (Ir.Reg r, _, _) ->
-      let found = ref None in
-      Ir.iter_instrs fn (fun _ i ->
-          match i.Ir.ik with
-          | Ir.Bin (op, d, Ir.Reg x, Ir.Imm c) when d = r ->
-              found := Some (op, x, c)
-          | _ -> ());
-      !found
+  | Ir.Cbr (Ir.Reg r, _, _) -> Hashtbl.find_opt defs r
   | _ -> None
 
 (* Walk [pred]'s dominator chain for a conditional branch on a
    comparison of [x] with a constant whose taken edge dominates [pred]:
    the strongest fact about [x] that necessarily holds on entry. *)
-let dominating_fact (fn : Ir.fn) dom pred x =
+let dominating_fact (fn : Ir.fn) defs dom pred x =
   (* A fact established on edge D->T holds at [pred] when T dominates
      [pred] AND T's only predecessor is D — then every path to [pred]
      entered T through that very edge. (T merely dominating [pred] is
@@ -45,19 +50,18 @@ let dominating_fact (fn : Ir.fn) dom pred x =
     | None -> None
     | Some d -> (
         let db = Ir.block fn d in
-        match (cond_cmp fn db, db.Ir.term) with
+        match (cond_cmp defs db, db.Ir.term) with
         | Some (pop, px, pc), Ir.Cbr (_, pt, pf) when px = x && pt <> pf ->
             if edge_holds d pt then Some (pop, pc, true)
             else if edge_holds d pf then Some (pop, pc, false)
             else up d
         | _ -> up d)
   in
-  Ir.recompute_preds fn;
   up pred
 
 (* What does entering [b] from [pred] tell us about [b]'s branch
-   condition? *)
-let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
+   condition? [dom] is forced only when the dominator chain is walked. *)
+let eval_cond_for_pred (fn : Ir.fn) defs dom (b : Ir.block) pred =
   let phi_value r =
     List.find_map
       (fun (p : Ir.phi) ->
@@ -76,7 +80,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
       | None -> (
           (* Through one comparison of a phi with a constant... *)
           let via_phi_cmp =
-            match cond_cmp fn b with
+            match cond_cmp defs b with
             | Some (op, x, c) -> (
                 match phi_value x with
                 | Some v -> Some (Ir.eval_binop op v c)
@@ -90,7 +94,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
                  register: either the predecessor's own branch (the edge
                  chooses), or any comparison on a dominator whose taken
                  edge dominates the predecessor (the if-chain case). *)
-              match cond_cmp fn b with
+              match cond_cmp defs b with
               | None -> None
               | Some (op, x, c) -> (
                   let apply (pop, pc, on_true) =
@@ -109,7 +113,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
                   let via_pred_branch =
                     match Hashtbl.find_opt fn.Ir.blocks pred with
                     | Some pb -> (
-                        match (cond_cmp fn pb, pb.Ir.term) with
+                        match (cond_cmp defs pb, pb.Ir.term) with
                         | Some (pop, px, pc), Ir.Cbr (_, pt, pf)
                           when px = x && pt <> pf ->
                             if b.Ir.b_label = pt then apply (pop, pc, true)
@@ -121,7 +125,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
                   match via_pred_branch with
                   | Some v -> Some v
                   | None -> (
-                      match dominating_fact fn dom pred x with
+                      match dominating_fact fn defs (Lazy.force dom) pred x with
                       | Some fact -> apply fact
                       | None -> None)))))
   | Ir.Br _ | Ir.Ret _ -> None
@@ -141,52 +145,97 @@ let threadable_block (b : Ir.block) counts =
       | _ -> false)
     b.Ir.instrs
 
-(* Uses of [r] outside block [b], classified against [target]'s
-   pre-threading dominance region: `Inside (substitutable), `Keep (still
-   dominated by b's region, untouched), or `Unsafe. *)
-let classify_uses (fn : Ir.fn) dom ~b_label ~target r =
+(* Uses of [b]'s phi results outside [b], classified per phi against
+   [target]'s pre-threading dominance region: `Inside (substitutable),
+   `Keep (still dominated by b's region, untouched), or `Unsafe. One
+   scan of the function classifies every phi; [dom] is forced only if
+   it finds a use. *)
+let classify_phi_uses (fn : Ir.fn) dom (b : Ir.block) ~target =
+  let b_label = b.Ir.b_label in
+  (* Per phi result: (used inside the target's region, used unsafely). *)
+  let flags = Hashtbl.create 8 in
+  List.iter
+    (fun (p : Ir.phi) -> Hashtbl.replace flags p.Ir.p_dst (false, false))
+    b.Ir.phis;
   let reachable_from_target =
+    lazy
+      (let seen = Hashtbl.create 16 in
+       let rec go l =
+         if not (Hashtbl.mem seen l) then begin
+           Hashtbl.replace seen l ();
+           List.iter go (Ir.succs (Ir.block fn l).Ir.term)
+         end
+       in
+       go target;
+       seen)
+  in
+  let check_in ub r =
+    match Hashtbl.find_opt flags r with
+    | None -> ()
+    | Some (inside, unsafe) ->
+        if Dom.dominates (Lazy.force dom) target ub then
+          Hashtbl.replace flags r (true, unsafe)
+        else if Hashtbl.mem (Lazy.force reachable_from_target) ub then
+          Hashtbl.replace flags r (inside, true)
+  in
+  if b.Ir.phis <> [] then
+    Ir.iter_blocks fn (fun ob ->
+        if ob.Ir.b_label <> b_label then begin
+          List.iter
+            (fun (i : Ir.instr) ->
+              List.iter (check_in ob.Ir.b_label) (Ir.real_uses_of_ikind i.Ir.ik))
+            ob.Ir.instrs;
+          List.iter (check_in ob.Ir.b_label) (Ir.term_uses ob.Ir.term);
+          (* Phi-argument uses are attributed to the contributing pred. *)
+          List.iter
+            (fun (p : Ir.phi) ->
+              List.iter
+                (fun (pl, o) ->
+                  if pl <> b_label then List.iter (check_in pl) (Ir.operand_uses o))
+                p.Ir.p_args)
+            ob.Ir.phis
+        end);
+  fun (p : Ir.phi) ->
+    match Hashtbl.find flags p.Ir.p_dst with
+    | _, true -> `Unsafe
+    | true, false -> `Inside
+    | false, false -> `Keep
+
+(* Would [l] dominate [x] once [pred]'s edges to [l] went to [target]
+   instead? In that CFG, [l] dominates [x] when [x] is [l], or when [x]
+   is reachable from the entry but not without passing through [l]. Two
+   searches answer it without editing the CFG. *)
+let dominates_after_redirect (fn : Ir.fn) ~pred ~l ~target =
+  let succs x =
+    let s = Ir.succs (Ir.block fn x).Ir.term in
+    if x = pred then List.map (fun y -> if y = l then target else y) s else s
+  in
+  let reach ~avoid =
     let seen = Hashtbl.create 16 in
-    let rec go l =
-      if not (Hashtbl.mem seen l) then begin
-        Hashtbl.replace seen l ();
-        List.iter go (Ir.succs (Ir.block fn l).Ir.term)
+    let rec go x =
+      if (not (avoid x)) && not (Hashtbl.mem seen x) then begin
+        Hashtbl.replace seen x ();
+        List.iter go (succs x)
       end
     in
-    go target;
+    go fn.Ir.entry;
     seen
   in
-  let unsafe = ref false in
-  let used_inside = ref false in
-  Ir.iter_blocks fn (fun ob ->
-      if ob.Ir.b_label <> b_label then begin
-        let classify_block ub =
-          if Dom.dominates dom target ub then used_inside := true
-          else if Hashtbl.mem reachable_from_target ub then unsafe := true
-        in
-        let check_in ub rr = if rr = r then classify_block ub in
-        List.iter
-          (fun (i : Ir.instr) ->
-            List.iter (check_in ob.Ir.b_label) (Ir.real_uses_of_ikind i.Ir.ik))
-          ob.Ir.instrs;
-        List.iter (check_in ob.Ir.b_label) (Ir.term_uses ob.Ir.term);
-        (* Phi-argument uses are attributed to the contributing pred. *)
-        List.iter
-          (fun (p : Ir.phi) ->
-            List.iter
-              (fun (pl, o) ->
-                if pl <> b_label then
-                  List.iter (check_in pl) (Ir.operand_uses o))
-              p.Ir.p_args)
-          ob.Ir.phis
-      end);
-  if !unsafe then `Unsafe else if !used_inside then `Inside else `Keep
+  let reachable = reach ~avoid:(fun _ -> false) in
+  let around_l = reach ~avoid:(fun x -> x = l) in
+  fun x -> x = l || (Hashtbl.mem reachable x && not (Hashtbl.mem around_l x))
 
 let run (fn : Ir.fn) =
   Ir.prune_unreachable fn;
   let threaded = ref 0 in
   let counts = Putil.use_counts fn in
   let labels = fn.Ir.layout in
+  (* Predecessor lists are kept current throughout (every CFG edit below
+     ends in [recompute_preds]). The dominator tree and the def index
+     stay valid until a thread succeeds: only a thread edits the CFG or
+     rewrites instructions. *)
+  let dom_tree = ref (lazy (Dom.compute fn)) in
+  let defs = ref (cmp_defs fn) in
   List.iter
     (fun l ->
       match Hashtbl.find_opt fn.Ir.blocks l with
@@ -196,11 +245,9 @@ let run (fn : Ir.fn) =
           | Ir.Cbr (_, t1, t2)
             when l <> fn.Ir.entry && t1 <> l && t2 <> l
                  && threadable_block b counts ->
-              Ir.recompute_preds fn;
               List.iter
                 (fun pred ->
-                  let dom = Dom.compute fn in
-                  match eval_cond_for_pred fn dom b pred with
+                  match eval_cond_for_pred fn !defs !dom_tree b pred with
                   | Some v
                     when pred <> l && Hashtbl.mem fn.Ir.blocks pred
                          && Hashtbl.mem fn.Ir.blocks l -> (
@@ -223,12 +270,10 @@ let run (fn : Ir.fn) =
                       (* Values of b consumed below: phi dsts used outside
                          b. The cond computation is consumed by the branch
                          only (threadable_block). *)
+                      let dom = !dom_tree in
+                      let class_of = classify_phi_uses fn dom b ~target in
                       let escaped =
-                        List.filter
-                          (fun (p : Ir.phi) ->
-                            classify_uses fn dom ~b_label:l ~target p.Ir.p_dst
-                            <> `Keep)
-                          b.Ir.phis
+                        List.filter (fun p -> class_of p <> `Keep) b.Ir.phis
                       in
                       let tb0 = Ir.block fn target in
                       let already_edge0 = List.mem pred tb0.Ir.preds in
@@ -246,34 +291,14 @@ let run (fn : Ir.fn) =
                            (a path now bypasses [l]), so probe the CFG
                            as it will be after retargeting. *)
                         && (escaped = []
-                           || begin
-                                let pb = Ir.block fn pred in
-                                let saved = pb.Ir.term in
-                                let redirect x = if x = l then target else x in
-                                pb.Ir.term <-
-                                  (match saved with
-                                  | Ir.Br x -> Ir.Br (redirect x)
-                                  | Ir.Cbr (c, x, y) ->
-                                      Ir.Cbr (c, redirect x, redirect y)
-                                  | Ir.Ret _ as t -> t);
-                                Ir.recompute_preds fn;
-                                let dom2 = Dom.compute fn in
-                                let ok =
-                                  List.for_all
-                                    (fun tp ->
-                                      tp = pred || Dom.dominates dom2 l tp)
-                                    (Ir.block fn target).Ir.preds
-                                in
-                                pb.Ir.term <- saved;
-                                Ir.recompute_preds fn;
-                                ok
-                              end)
-                        && List.for_all
-                             (fun (p : Ir.phi) ->
-                               classify_uses fn dom ~b_label:l ~target
-                                 p.Ir.p_dst
-                               <> `Unsafe)
-                             b.Ir.phis
+                           ||
+                           let l_dominates =
+                             dominates_after_redirect fn ~pred ~l ~target
+                           in
+                           List.for_all
+                             (fun tp -> tp = pred || l_dominates tp)
+                             (Ir.block fn target).Ir.preds)
+                        && List.for_all (fun p -> class_of p <> `Unsafe) b.Ir.phis
                         (* The repair phi needs one argument per
                            existing pred of the target plus the new
                            edge; target phis must not already have an
@@ -333,7 +358,9 @@ let run (fn : Ir.fn) =
                            blocks. *)
                         if Hashtbl.length subst > 0 then
                           Ir.iter_blocks fn (fun ob ->
-                              let dominated ub = Dom.dominates dom target ub in
+                              let dominated ub =
+                                Dom.dominates (Lazy.force dom) target ub
+                              in
                               if
                                 ob.Ir.b_label <> l
                                 && ob.Ir.b_label <> target
@@ -391,7 +418,9 @@ let run (fn : Ir.fn) =
                               List.filter (fun (pl, _) -> pl <> pred) p.Ir.p_args)
                           b.Ir.phis;
                         Ir.recompute_preds fn;
-                        incr threaded
+                        incr threaded;
+                        dom_tree := lazy (Dom.compute fn);
+                        defs := cmp_defs fn
                       end)
                   | _ -> ())
                 b.Ir.preds

@@ -55,19 +55,17 @@ let pure_ikind ?(pure_calls = fun _ -> false) = function
   | Ir.Store _ | Ir.Input _ | Ir.Eof _ | Ir.Output _ | Ir.Dbg _ -> false
 
 (** A key identifying the value computed by a pure instruction, for value
-    numbering; [None] when the instruction is not numberable. Commutative
-    operands are put in a canonical order. *)
+    numbering: the instruction with its destination zeroed, so two keys
+    are equal exactly when the computations are; [None] when the
+    instruction is not numberable. Commutative operands are put in a
+    canonical order. *)
 let value_key = function
   | Ir.Bin (op, _, a, b) ->
       let a, b = if Ir.commutative op && b < a then (b, a) else (a, b) in
-      Some (Printf.sprintf "bin:%s:%s:%s" (Ir.binop_name op)
-              (Ir.operand_to_string a) (Ir.operand_to_string b))
-  | Ir.Un (op, _, a) ->
-      Some (Printf.sprintf "un:%s:%s" (Ir.unop_name op) (Ir.operand_to_string a))
-  | Ir.Select (_, c, a, b) ->
-      Some (Printf.sprintf "sel:%s:%s:%s" (Ir.operand_to_string c)
-              (Ir.operand_to_string a) (Ir.operand_to_string b))
-  | Ir.Mov (_, a) -> Some (Printf.sprintf "mov:%s" (Ir.operand_to_string a))
+      Some (Ir.Bin (op, 0, a, b))
+  | Ir.Un (op, _, a) -> Some (Ir.Un (op, 0, a))
+  | Ir.Select (_, c, a, b) -> Some (Ir.Select (0, c, a, b))
+  | Ir.Mov (_, a) -> Some (Ir.Mov (0, a))
   | _ -> None
 
 (** Clone an instruction kind, renaming definitions through [fresh_def]

@@ -407,6 +407,60 @@ let test_corruption_never_changes_results () =
          && String.sub n (String.length n - 8) 8 = "/corrupt")
        (DS.counters store))
 
+(* A store nothing can be written to: every put fails, the engine's
+   results are those of a store-less engine, and the failures show as
+   [store/<cache>/write_errors] rows. The directories go read-only; the
+   superuser ignores mode bits, so the temp directory is also replaced
+   by a plain file, which no user can create entries in. *)
+let test_unwritable_store () =
+  with_dir @@ fun d ->
+  let p = Lazy.force small_subject in
+  let cfg = List.hd engine_configs in
+  let clean = fst (ME.measure (ME.create ()) p cfg) in
+  let store = ME.open_store ~dir:d () in
+  let tmp = Filename.concat d "tmp" and objects = Filename.concat d "objects" in
+  Sys.rmdir tmp;
+  write_file tmp "";
+  List.iter (fun dir -> Unix.chmod dir 0o555) [ objects; d ];
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun dir -> Unix.chmod dir 0o755) [ d; objects ])
+  @@ fun () ->
+  let eng = ME.create ~store () in
+  Alcotest.(check bool) "unwritable store never changes the result" true
+    (fst (ME.measure eng p cfg) = clean);
+  Alcotest.(check int) "nothing published" 0 (DS.entry_count store);
+  Alcotest.(check bool) "write errors counted in stats_table" true
+    (List.exists
+       (fun (n, v) ->
+         v > 0
+         && String.starts_with ~prefix:"store/" n
+         && String.ends_with ~suffix:"/write_errors" n)
+       (ME.stats_table eng))
+
+(* A put whose final rename fails (the entry path is occupied by a
+   non-empty directory) is counted and leaves no temp file behind. *)
+let test_failed_put_cleans_up () =
+  with_dir @@ fun d ->
+  let s = DS.create ~schema:"s" ~dir:d () in
+  let digest = Digest.to_hex (Digest.string "k") in
+  let path =
+    List.fold_left Filename.concat d
+      [ "objects"; "c"; String.sub digest 0 2; digest ]
+  in
+  List.iter
+    (fun dir -> try Sys.mkdir dir 0o755 with Sys_error _ -> ())
+    [
+      Filename.concat d "objects/c";
+      Filename.dirname path;
+      path;
+      Filename.concat path "occupied";
+    ];
+  DS.put s ~cache:"c" ~key:"k" "payload";
+  Alcotest.(check int) "write error counted" 1 (counter s "c/write_errors");
+  Alcotest.(check int) "no write counted" 0 (counter s "c/writes");
+  Alcotest.(check (array string)) "temp file removed" [||]
+    (Sys.readdir (Filename.concat d "tmp"))
+
 let test_oracle_warm_byte_identical () =
   with_dir @@ fun d ->
   let module DO = Diff_oracle in
@@ -450,6 +504,10 @@ let tests =
       test_two_process_store;
     Alcotest.test_case "cross-process eviction is counted" `Quick
       test_cross_process_eviction_counted;
+    Alcotest.test_case "failed put is counted and cleaned up" `Quick
+      test_failed_put_cleans_up;
+    Alcotest.test_case "unwritable store never changes results" `Slow
+      test_unwritable_store;
     Alcotest.test_case "warm engine: zero misses, identical metrics" `Slow
       test_engine_warm_run;
     Alcotest.test_case "interrupted run resumes from the store" `Slow

@@ -89,6 +89,93 @@ let test_jump_threading_if_chain () =
         (run_bin p ~entry:"main" ~input:[ op ]))
     [ (1, 10); (2, 20); (3, 30); (4, 0) ]
 
+(* Hand-built IR for the invalidation-rule fixtures below: [hand_fn]
+   makes a one-function program, [set] fills in a block. *)
+let ins ik = { Ir.ik; line = None }
+
+let hand_fn () =
+  let fn = Ir.create_fn ~name:"f" ~line:1 ~params:[] in
+  let p = { Ir.funcs = Hashtbl.create 1; prog_globals = [] } in
+  Hashtbl.replace p.Ir.funcs "f" fn;
+  (p, fn)
+
+let set (b : Ir.block) ?(phis = []) instrs term =
+  b.Ir.phis <- phis;
+  b.Ir.instrs <- List.map ins instrs;
+  b.Ir.term <- term
+
+(* A thread's repair substitution rewrites the compare of a block that
+   is threaded later: the first thread (P1 -> T, x = 1 < 2) gives T a
+   repair phi x' and rewrites T's [c2 = x == 1] to [c2 = x' == 1]; only
+   the rebuilt def index lets T's own threading see x' = 1 on the P1
+   edge (P1 -> U). A stale index still reads [x == 1], decides nothing,
+   and threads once. *)
+let test_jump_threading_rebuilds_def_index () =
+  let p, fn = hand_fn () in
+  let e = Ir.block fn fn.Ir.entry in
+  (* Layout order: E P1 P2 B T U V F. *)
+  let p1 = Ir.new_block fn in
+  let p2 = Ir.new_block fn in
+  let b = Ir.new_block fn in
+  let t = Ir.new_block fn in
+  let u = Ir.new_block fn in
+  let v = Ir.new_block fn in
+  let f = Ir.new_block fn in
+  let reg () = Ir.fresh_reg fn in
+  let r = reg () and s = reg () and x = reg () in
+  let cb = reg () and c2 = reg () in
+  let lbl (blk : Ir.block) = blk.Ir.b_label in
+  set e [ Ir.Input r; Ir.Input s ] (Ir.Cbr (Ir.Reg r, lbl p1, lbl p2));
+  set p1 [] (Ir.Br (lbl b));
+  set p2 [] (Ir.Br (lbl b));
+  set b
+    ~phis:[ { Ir.p_dst = x; p_args = [ (lbl p1, Ir.Imm 1); (lbl p2, Ir.Reg s) ] } ]
+    [ Ir.Bin (Ir.Clt, cb, Ir.Reg x, Ir.Imm 2) ]
+    (Ir.Cbr (Ir.Reg cb, lbl t, lbl f));
+  set t
+    [ Ir.Bin (Ir.Ceq, c2, Ir.Reg x, Ir.Imm 1) ]
+    (Ir.Cbr (Ir.Reg c2, lbl u, lbl v));
+  set u [ Ir.Output (Ir.Imm 100) ] (Ir.Ret None);
+  set v [ Ir.Output (Ir.Imm 200) ] (Ir.Ret None);
+  set f [ Ir.Output (Ir.Imm 300) ] (Ir.Ret None);
+  Ir.recompute_preds fn;
+  Verify.check p;
+  Alcotest.(check int) "both edges threaded" 2 (Jump_threading.run fn);
+  Verify.check p;
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check (list int))
+        (String.concat "," (List.map string_of_int input))
+        [ expected ]
+        (run_bin p ~entry:"f" ~input))
+    [ ([ 1; 0 ], 100); ([ 0; 1 ], 100); ([ 0; 0 ], 200); ([ 0; 3 ], 300) ]
+
+(* [a * 3] computed in both arms of a diamond: the left arm's value is
+   not available in its dominator-tree sibling, so the scoped table must
+   drop it when the walk leaves the left arm. *)
+let test_gvn_pops_sibling_scope () =
+  let p, fn = hand_fn () in
+  let e = Ir.block fn fn.Ir.entry in
+  let l = Ir.new_block fn in
+  let r = Ir.new_block fn in
+  let j = Ir.new_block fn in
+  let reg () = Ir.fresh_reg fn in
+  let a = reg () and x = reg () and y = reg () in
+  set e [ Ir.Input a ] (Ir.Cbr (Ir.Reg a, l.Ir.b_label, r.Ir.b_label));
+  let arm (blk : Ir.block) d =
+    set blk
+      [ Ir.Bin (Ir.Mul, d, Ir.Reg a, Ir.Imm 3); Ir.Output (Ir.Reg d) ]
+      (Ir.Br j.Ir.b_label)
+  in
+  arm l x;
+  arm r y;
+  set j [] (Ir.Ret None);
+  Ir.recompute_preds fn;
+  Alcotest.(check int) "nothing reused across siblings" 0 (Cse.run_global fn);
+  Verify.check p;
+  Alcotest.(check (list int)) "left" [ 6 ] (run_bin p ~entry:"f" ~input:[ 2 ]);
+  Alcotest.(check (list int)) "right" [ 0 ] (run_bin p ~entry:"f" ~input:[ 0 ])
+
 let test_rotate_nested_loops () =
   let src =
     "int f() {\n\
@@ -363,6 +450,9 @@ let tests =
     Alcotest.test_case "inline skips recursive" `Quick test_inline_skips_recursive;
     Alcotest.test_case "inline caller budget" `Quick test_inline_caller_size_budget;
     Alcotest.test_case "jump threading if-chain" `Quick test_jump_threading_if_chain;
+    Alcotest.test_case "jump threading rebuilds def index" `Quick
+      test_jump_threading_rebuilds_def_index;
+    Alcotest.test_case "gvn pops sibling scope" `Quick test_gvn_pops_sibling_scope;
     Alcotest.test_case "rotate nested loops" `Quick test_rotate_nested_loops;
     Alcotest.test_case "unroll 0/1 iterations" `Quick
       test_unroll_zero_and_one_iteration;

@@ -222,21 +222,27 @@ let test_resume_after_kill () =
 
 (* ------------------------------------------------------------------ *)
 (* Digest equality: sweep-planned compiles (Snapshot-restored function
-   tables) vs straight compiles, over random disable sets.             *)
+   tables) vs straight compiles, over random disable sets. The O3
+   levels run the loop passes that iterate every function (cunroll,
+   LoopUnroll) on top of O2's.                                         *)
 
 let test_sweep_digest_equality () =
   let sp = List.hd benches in
   let prepared = List.hd (Lazy.force suite) in
   let rng = Util.Rng.create 77 in
-  let universe = Array.of_list (T.pass_names base) in
-  let random_config () =
+  let random_config level_base =
     let disabled =
-      Array.to_list universe
+      T.pass_names level_base
       |> List.filter (fun _ -> Util.Rng.int rng 3 = 0)
     in
-    C.canonical { base with C.disabled }
+    C.canonical { level_base with C.disabled }
   in
-  let configs = base :: List.init 8 (fun _ -> random_config ()) in
+  let configs =
+    List.concat_map
+      (fun (level_base, n) ->
+        level_base :: List.init n (fun _ -> random_config level_base))
+      [ (base, 8); (C.make C.Gcc C.O3, 4); (C.make C.Clang C.O3, 4) ]
+  in
   let engine = ME.create () in
   ME.compile_sweep engine prepared configs;
   List.iter
