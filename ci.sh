@@ -127,7 +127,8 @@ done
 ci_diff "$scratch/rank-direct.out" "$scratch/rank-daemon.out" \
   "debugtuner_cli rank -k 5 [--connect SOCK]"
 "$cli" check --fuzz 20 --seed 1 --connect "$sock" > "$scratch/check-daemon.out"
-"$cli" check --fuzz 20 --seed 1 > "$scratch/check-direct.out"
+"$cli" check --fuzz 20 --seed 1 --json "$scratch/check-direct.json" \
+  > "$scratch/check-direct.out"
 ci_diff "$scratch/check-direct.out" "$scratch/check-daemon.out" \
   "debugtuner_cli check --fuzz 20 --seed 1 [--connect SOCK]"
 "$cli" search --budget 8 --no-cache --connect "$sock" \
@@ -142,12 +143,14 @@ echo "== daemon TCP concurrency leg (4 parallel --connect clients) =="
 # The daemon reported its ephemeral TCP port at startup; four clients
 # hammer it at once over TCP — the executor pool may interleave them
 # freely, but every response must still be byte-identical to a direct
-# in-process run of the same command.
+# in-process run of the same command, and the check client's own
+# sanitize/* counters (its request scope) equal the direct run's.
 port="$(sed -n 's/.*listening on [^:]*:\([0-9][0-9]*\)$/\1/p' "$scratch/daemon.log")"
 [ -n "$port" ] || { echo "daemon smoke: no TCP port in daemon log" >&2; exit 1; }
 "$cli" rank -k 5 --connect "localhost:$port" > "$scratch/rank-tcp.out" &
 tcp1=$!
-"$cli" check --fuzz 20 --seed 1 --connect "localhost:$port" > "$scratch/check-tcp.out" &
+"$cli" check --fuzz 20 --seed 1 --connect "localhost:$port" \
+  --json "$scratch/check-tcp.json" > "$scratch/check-tcp.out" &
 tcp2=$!
 "$cli" measure -p zlib -l O2 --connect "localhost:$port" > "$scratch/measure-zlib-tcp.out" &
 tcp3=$!
@@ -162,6 +165,8 @@ ci_diff "$scratch/rank-direct.out" "$scratch/rank-tcp.out" \
   "debugtuner_cli rank -k 5 [--connect HOST:PORT] (4 parallel clients)"
 ci_diff "$scratch/check-direct.out" "$scratch/check-tcp.out" \
   "debugtuner_cli check --fuzz 20 --seed 1 [--connect HOST:PORT] (4 parallel clients)"
+ci_diff "$scratch/check-direct.json" "$scratch/check-tcp.json" \
+  "debugtuner_cli check --fuzz 20 --seed 1 --json J [--connect HOST:PORT] (4 parallel clients)"
 ci_diff "$scratch/measure-zlib-direct.out" "$scratch/measure-zlib-tcp.out" \
   "debugtuner_cli measure -p zlib -l O2 [--connect HOST:PORT] (4 parallel clients)"
 ci_diff "$scratch/measure-bzip2-direct.out" "$scratch/measure-bzip2-tcp.out" \

@@ -6,8 +6,9 @@
     program, a {!Config.t}, and per-kind options. {!execute} turns a
     request into a {!Response.t}: a status, the canonical rendered
     report (the bytes the CLI prints), an optional secondary artifact
-    (a trace JSON, an AutoFDO profile), and the per-request counter
-    delta of {!Measure_engine.stats_table}. The CLI is one transport
+    (a trace JSON, an AutoFDO profile), and the request's own counter
+    rows (its {!Util.Counters} scope, named as in
+    {!Measure_engine.stats_table}). The CLI is one transport
     over this module (parse flags, execute, print); the
     [debugtuner serve] daemon ([Api_server]) is a second one
     (length-prefixed JSON over a Unix socket, see [Framing]) — both
@@ -232,10 +233,10 @@ module Response = struct
             transport decides where it goes ([-o FILE], stdout, ...) *)
     data : data;
     stats : (string * int) list;
-        (** this request's own counter delta of
-            {!Measure_engine.stats_table} — snapshot before, snapshot
-            after, subtract — so overlapping sessions never
-            double-count *)
+        (** this request's own counter rows (named as in
+            {!Measure_engine.stats_table}), read from its
+            {!Util.Counters} scope — so concurrent requests never
+            count each other's work *)
     exit_code : int;
   }
 
@@ -958,8 +959,8 @@ let partial_of_json text = decode Codec.partial_of_json text
     {!execute} is safe to call from many threads (or executor domains)
     at once on a shared context: the engine's memo tables and the disk
     store are domain-safe by construction, per-request counters come
-    from scoped sinks (see {!Measure_engine.with_request_sink}) rather
-    than global snapshots, and the two remaining serialization points
+    from a {!Util.Counters} scope per request rather than global
+    snapshots, and the two remaining serialization points
     are narrow — [prepared_mu] guards the prepared-subject cache, and a
     global mutex serializes [profile] requests (the [Obs] session is
     process-wide). *)
@@ -1428,71 +1429,49 @@ let run_search ctx ~config ~strategy ~budget ~seed ~debug_weight ~speed_weight =
 
 (* -- check -- *)
 
-(** This request's own sanitizer work, as [(pass, checks, failures)]
-    triples sorted by pass. [Sanitize.counters] is process-cumulative
-    and under concurrent execution a snapshot/subtract would bracket
-    other requests' boundary checks; the request sink's
-    [sanitize/<pass>/checked|failures] rows are scoped to exactly this
-    request (including its engine-pool workers), so in a daemon,
-    response N's text cannot depend on requests running alongside it. *)
-let sanitize_rows_delta before after =
-  let look rows name = Option.value ~default:0 (List.assoc_opt name rows) in
-  let passes =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (name, _) ->
-           match String.split_on_char '/' name with
-           | [ "sanitize"; pass; ("checked" | "failures") ] -> Some pass
-           | _ -> None)
-         after)
-  in
-  List.filter_map
-    (fun pass ->
-      let row field = Printf.sprintf "sanitize/%s/%s" pass field in
-      let dc = look after (row "checked") - look before (row "checked") in
-      let df = look after (row "failures") - look before (row "failures") in
-      if dc = 0 && df = 0 then None else Some (pass, dc, df))
-    passes
-
 let run_check ctx ~subject ~fuzz ~seed ~suite =
   let b = Buffer.create 1024 in
-  let san_before = Measure_engine.current_request_sink_rows () in
-  let reports = ref [] in
-  (match subject with
-  | Some s ->
-      let p = subject_program s in
-      bpf b "checking %s across O0-O3 x {gcc, clang}...\n" p.Suite_types.p_name;
-      let failures, (runs, skipped) =
-        Diff_oracle.check_program ?store:ctx.store p
-      in
-      reports :=
-        [
-          {
-            Diff_oracle.r_programs = 1;
-            r_configs = List.length (Diff_oracle.configs ());
-            r_runs = runs;
-            r_skipped = skipped;
-            r_failures = failures;
-          };
-        ]
-  | None ->
-      if suite then begin
-        bpf b "checking the suite across O0-O3 x {gcc, clang} (sanitizer on)...\n";
-        reports := [ Diff_oracle.check_suite ?store:ctx.store () ]
-      end);
-  if fuzz > 0 then begin
-    bpf b "fuzzing %d synthetic program(s) from seed %d...\n" fuzz seed;
-    reports :=
-      !reports @ [ Diff_oracle.fuzz ?store:ctx.store ~count:fuzz ~seed () ]
-  end;
+  (* The check runs in its own scope, so the sanitizer summary below is
+     exactly this request's boundary checks, whatever runs alongside. *)
+  let scope = Util.Counters.create () in
+  let reports =
+    Util.Counters.with_scope scope @@ fun () ->
+    let checked =
+      match subject with
+      | Some s ->
+          let p = subject_program s in
+          bpf b "checking %s across O0-O3 x {gcc, clang}...\n"
+            p.Suite_types.p_name;
+          let failures, (runs, skipped) =
+            Diff_oracle.check_program ?store:ctx.store p
+          in
+          [
+            {
+              Diff_oracle.r_programs = 1;
+              r_configs = List.length (Diff_oracle.configs ());
+              r_runs = runs;
+              r_skipped = skipped;
+              r_failures = failures;
+            };
+          ]
+      | None when suite ->
+          bpf b
+            "checking the suite across O0-O3 x {gcc, clang} (sanitizer on)...\n";
+          [ Diff_oracle.check_suite ?store:ctx.store () ]
+      | None -> []
+    in
+    if fuzz <= 0 then checked
+    else begin
+      bpf b "fuzzing %d synthetic program(s) from seed %d...\n" fuzz seed;
+      checked @ [ Diff_oracle.fuzz ?store:ctx.store ~count:fuzz ~seed () ]
+    end
+  in
   List.iter
     (fun r ->
       Buffer.add_string b (Diff_oracle.report_to_string r);
       Buffer.add_char b '\n')
-    !reports;
-  (match
-     sanitize_rows_delta san_before (Measure_engine.current_request_sink_rows ())
-   with
+    reports;
+  (match Sanitize.of_rows (Util.Counters.rows scope) with
   | [] -> ()
   | cs ->
       bpf b "sanitizer boundaries validated:\n";
@@ -1509,10 +1488,10 @@ let run_check ctx ~subject ~fuzz ~seed ~suite =
           r + rep.Diff_oracle.r_runs,
           s + rep.Diff_oracle.r_skipped,
           f + List.length rep.Diff_oracle.r_failures ))
-      (0, 0, 0, 0, 0) !reports
+      (0, 0, 0, 0, 0) reports
   in
   let dk_programs, dk_configs, dk_runs, dk_skipped, dk_failures = totals in
-  let code = if List.for_all Diff_oracle.clean !reports then 0 else 1 in
+  let code = if List.for_all Diff_oracle.clean reports then 0 else 1 in
   ( Buffer.contents b,
     None,
     Response.D_checked { dk_programs; dk_configs; dk_runs; dk_skipped; dk_failures },
@@ -1899,24 +1878,24 @@ let error_message = function
   | e -> Printexc.to_string e
 
 (** Test seam: called at the top of every {!execute}, inside the
-    request's sink scope. The daemon tests park it on a mutex to hold a
+    request's counter scope. The daemon tests park it on a mutex to hold a
     request in flight deterministically. *)
 let execute_gate : (unit -> unit) ref = ref (fun () -> ())
 
 (** Execute one request against a context. Never raises: failures come
     back as [Error] responses with a one-line message and exit code 2.
     Safe to call concurrently from many threads or domains on a shared
-    context — see {!ctx} — and the response's [stats] field is the
-    request's private sink ({!Measure_engine.request_sink_rows}): its
-    own counter activity, unpolluted by whatever ran alongside it. *)
+    context — see {!ctx} — and the response's [stats] field is the rows
+    of the request's own {!Util.Counters} scope: its own counter
+    activity, unpolluted by whatever ran alongside it. *)
 let execute (ctx : ctx) (req : Request.t) : Response.t =
-  let sink = Measure_engine.create_request_sink () in
+  let scope = Util.Counters.create () in
   let finish status text artifact data exit_code =
-    let stats = Measure_engine.request_sink_rows sink in
+    let stats = Util.Counters.rows scope in
     { Response.status; text; artifact; data; stats; exit_code }
   in
   match
-    Measure_engine.with_request_sink sink (fun () ->
+    Util.Counters.with_scope scope (fun () ->
         !execute_gate ();
         Obs.Span.wrap "api:execute" (fun () -> run_request ctx req))
   with

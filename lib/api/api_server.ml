@@ -13,7 +13,7 @@
     drained by a pool of executor {e domains} ([~executors], default
     {!default_executors}) — systhreads share one runtime lock, so
     genuine concurrency needs domains. {!Api.execute} is safe to run
-    concurrently on the shared context (per-request counter sinks,
+    concurrently on the shared context (per-request counter scopes,
     domain-safe caches; see {!Api.ctx}), and the engine's own Domain
     pool declines to nest spawning from a worker domain, so an executor
     runs its request's internal work sequentially while other executors

@@ -116,18 +116,6 @@ let run_one ast ~roots ~entry ~input (cfg : C.t) ~expected =
    Warm hits replay the sanitizer delta ({!Sanitize.record}) so a warm
    [check] prints byte-identical output, counters included. *)
 
-let counters_delta before after =
-  let find pass l =
-    match List.find_opt (fun (q, _, _) -> q = pass) l with
-    | Some (_, c, f) -> (c, f)
-    | None -> (0, 0)
-  in
-  List.filter_map
-    (fun (pass, c, f) ->
-      let bc, bf = find pass before in
-      if c = bc && f = bf then None else Some (pass, c - bc, f - bf))
-    after
-
 let verdict_key tag payload =
   Digest.to_hex
     (Digest.string
@@ -149,13 +137,13 @@ let cached store ~key (f : unit -> 'a) : 'a =
   | None -> f ()
   | Some s -> (
       let fresh () =
-        let before = Sanitize.counters () in
-        let v = f () in
-        let delta = counters_delta before (Sanitize.counters ()) in
-        (try
-           Engine.Disk_store.put s ~cache:"oracle" ~key
-             (Marshal.to_string (v, delta) [])
-         with _ -> ());
+        (* Its own scope: the persisted delta is exactly this verdict's
+           boundary checks, never a concurrent request's. *)
+        let scope = Util.Counters.create () in
+        let v = Util.Counters.with_scope scope f in
+        let delta = Sanitize.of_rows (Util.Counters.rows scope) in
+        Engine.Disk_store.put s ~cache:"oracle" ~key
+          (Marshal.to_string (v, delta) []);
         v
       in
       match Engine.Disk_store.get s ~cache:"oracle" ~key with

@@ -35,9 +35,10 @@
     nested — a partially-overlapping pair means the location list was
     corrupted rather than merely narrowed.
 
-    Every boundary validated and every failure is counted per pass name;
-    {!counters} feeds [Measure_engine.sanitizer_stats] and
-    [bench --stats]. *)
+    Every boundary validated and every failure is counted per pass name
+    as [sanitize/<pass>/checked|failures] rows of {!Util.Counters.global}
+    (and of the current request scope), which [bench --stats] and the
+    CLI's stats table render. *)
 
 type invariant =
   | Structural  (** {!Verify} (IR) or machine CFG/layout breakage *)
@@ -85,73 +86,45 @@ let fail ~pass invariant fmt =
 let enabled = ref false
 
 (* ------------------------------------------------------------------ *)
-(* Per-pass counters (domain-safe: the engine pool compiles from
-   multiple domains)                                                    *)
+(* Per-pass counters: [sanitize/<pass>/checked|failures] rows of
+   {!Util.Counters.global}                                              *)
 
-type counter = { mutable checks : int; mutable failures : int }
+let add pass field n =
+  Util.Counters.add Util.Counters.global ("sanitize/" ^ pass ^ field) n
 
-let counters_tbl : (string, counter) Hashtbl.t = Hashtbl.create 32
-let counters_mu = Mutex.create ()
+let bump_checks pass = add pass "/checked" 1
+let bump_failures pass = add pass "/failures" 1
 
-let counter_for pass =
-  match Hashtbl.find_opt counters_tbl pass with
-  | Some c -> c
-  | None ->
-      let c = { checks = 0; failures = 0 } in
-      Hashtbl.replace counters_tbl pass c;
-      c
-
-(* Observability seam: the instantiation (Measure_engine) mirrors every
-   bump into a per-request counter sink. Called as
-   [(pass, checks, failures)], outside the counter lock. *)
-let observer : (string -> int -> int -> unit) option ref = ref None
-let set_observer f = observer := f
-
-let observe pass checks failures =
-  match !observer with None -> () | Some f -> f pass checks failures
-
-let bump_checks pass =
-  Mutex.lock counters_mu;
-  (counter_for pass).checks <- (counter_for pass).checks + 1;
-  Mutex.unlock counters_mu;
-  observe pass 1 0
-
-let bump_failures pass =
-  Mutex.lock counters_mu;
-  (counter_for pass).failures <- (counter_for pass).failures + 1;
-  Mutex.unlock counters_mu;
-  observe pass 0 1
-
-(** [(pass, boundaries validated, failures)], sorted by pass name. *)
-let counters () =
-  Mutex.lock counters_mu;
-  let out =
-    Hashtbl.fold
-      (fun pass c acc -> (pass, c.checks, c.failures) :: acc)
-      counters_tbl []
+(** [(pass, boundaries validated, failures)] triples, sorted by pass,
+    out of any counter rows (the global table, or a scope's). *)
+let of_rows rows =
+  let rows =
+    List.filter (fun (n, _) -> String.starts_with ~prefix:"sanitize/" n) rows
   in
-  Mutex.unlock counters_mu;
-  List.sort compare out
+  let pass row = String.sub row 9 (String.rindex row '/' - 9) in
+  let get p field =
+    Option.value ~default:0 (List.assoc_opt ("sanitize/" ^ p ^ field) rows)
+  in
+  List.map (fun (row, _) -> pass row) rows
+  |> List.sort_uniq compare
+  |> List.map (fun p -> (p, get p "/checked", get p "/failures"))
+
+(** The process-wide per-pass counters, as {!of_rows}. *)
+let counters () = of_rows (Util.Counters.rows Util.Counters.global)
 
 let reset_counters () =
-  Mutex.lock counters_mu;
-  Hashtbl.reset counters_tbl;
-  Mutex.unlock counters_mu
+  Util.Counters.reset Util.Counters.global ~prefix:"sanitize/"
 
 (** [record deltas] credits [(pass, checks, failures)] triples wholesale
     — for callers replaying sanitizer activity captured on an earlier
     run (e.g. a persistent-cache hit serving a compile that originally
     ran with the sanitizer on), so warm output matches cold output. *)
 let record deltas =
-  Mutex.lock counters_mu;
   List.iter
     (fun (pass, checks, failures) ->
-      let c = counter_for pass in
-      c.checks <- c.checks + checks;
-      c.failures <- c.failures + failures)
-    deltas;
-  Mutex.unlock counters_mu;
-  List.iter (fun (pass, checks, failures) -> observe pass checks failures) deltas
+      add pass "/checked" checks;
+      add pass "/failures" failures)
+    deltas
 
 (* ------------------------------------------------------------------ *)
 (* Debug-info snapshots: what a pass may shrink but never grow          *)

@@ -51,9 +51,6 @@ let create ?(synth_count = 40) ?workers ?store () =
 
 let suite ctx = ctx.suite
 let engine ctx = ctx.engine
-let engine_stats ctx =
-  Engine.Stats.snapshot (Measure_engine.stats ctx.engine)
-  @ Measure_engine.sanitizer_stats ()
 
 let synth_programs ctx =
   (* Double-checked under the lock: the corpus is deterministic in
@@ -1038,9 +1035,9 @@ let corpus_rows ~engine ?shard spec configs : corpus_row list =
   in
   let programs = List.length mine in
   let computed = prepare_misses engine - computed_before in
-  Measure_engine.bump_shard_counter "programs" programs;
-  Measure_engine.bump_shard_counter "rows" (programs * List.length configs);
-  Measure_engine.bump_shard_counter "resumed_programs"
+  Util.Counters.add Util.Counters.global "shard/programs" programs;
+  Util.Counters.add Util.Counters.global "shard/rows" (programs * List.length configs);
+  Util.Counters.add Util.Counters.global "shard/resumed_programs"
     (max 0 (programs - computed));
   List.concat per_entry
 
@@ -1181,9 +1178,9 @@ let search_dominance ctx (r : Tuning.search_result) =
 let search_front_table ctx =
   let r = run_search ctx in
   let dom = search_dominance ctx r in
-  Measure_engine.bump_search_counter "greedy_total" (List.length dom.dom_greedy);
-  Measure_engine.bump_search_counter "greedy_dominated" dom.dom_covered;
-  Measure_engine.bump_search_counter "margin_ppm"
+  Util.Counters.add Util.Counters.global "search/greedy_total" (List.length dom.dom_greedy);
+  Util.Counters.add Util.Counters.global "search/greedy_dominated" dom.dom_covered;
+  Util.Counters.add Util.Counters.global "search/margin_ppm"
     (int_of_float (Float.round (dom.dom_margin *. 1e6)));
   let front_rows =
     List.map

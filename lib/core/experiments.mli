@@ -9,7 +9,8 @@
     two-tier content-addressed cache, and derived results (rankings,
     trade-off points, speedup rows) are memoized on
     {!Config.fingerprint} keys. The mutable cache state is hidden
-    behind this interface; inspect it with {!engine_stats}. *)
+    behind this interface; inspect it with
+    {!Measure_engine.stats_table} on {!engine}. *)
 
 type ctx
 
@@ -25,11 +26,6 @@ val create :
 
 val suite : ctx -> Evaluation.prepared list
 val engine : ctx -> Measure_engine.t
-
-val engine_stats : ctx -> (string * Engine.Stats.counter) list
-(** Per-cache hit / miss / dedup counters of the context's engine,
-    sorted by cache name, followed by the per-pass sanitizer counters
-    ([sanitize:<pass>]) when compiles ran with the sanitizer on. *)
 
 val synth_programs : ctx -> Evaluation.prepared list
 

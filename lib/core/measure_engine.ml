@@ -90,127 +90,6 @@ end
 
 include Engine.Make (Domain_impl)
 
-(* ------------------------------------------------------------------ *)
-(* Per-request counter sinks. Every counter in the repository is
-   process-cumulative (the observable truth for `stats`/`bench`), but a
-   service request must report only its own activity — and concurrent
-   requests make the old snapshot/subtract trick unsound, because a
-   request's two snapshots bracket other requests' work. Instead, every
-   counter choke point (engine stats, disk store, sanitizer, obs
-   counters, prefix planner, the counter tables below) mirrors its bump
-   into the sink registered for the current (domain, thread), so each
-   concurrent request accumulates a private table with the exact row
-   names {!stats_table} uses. Pool workers inherit the spawning
-   request's sink through the shadowed {!map}. *)
-module Request_sink = struct
-  type t = { tbl : (string, int) Hashtbl.t; mu : Mutex.t }
-
-  let create () = { tbl = Hashtbl.create 32; mu = Mutex.create () }
-
-  (* Sinks are keyed by (domain, thread): requests run concurrently
-     both as systhreads of the main domain (tests, session threads) and
-     as executor domains (the daemon's pool), and the two must never
-     share a slot. [Thread.id] is only consulted on the main domain —
-     executor domains run one request at a time. *)
-  let registry : (int * int, t) Hashtbl.t = Hashtbl.create 8
-  let reg_mu = Mutex.create ()
-
-  let slot () =
-    let d = (Domain.self () :> int) in
-    if Domain.is_main_domain () then (d, Thread.id (Thread.self ())) else (d, 0)
-
-  let current () =
-    let k = slot () in
-    Mutex.lock reg_mu;
-    let s = Hashtbl.find_opt registry k in
-    Mutex.unlock reg_mu;
-    s
-
-  (* May be called with other subsystems' locks held (the store notes
-     under its own mutex), so this must remain a leaf: take only the
-     registry and sink mutexes, call nothing else. *)
-  let bump name v =
-    match current () with
-    | None -> ()
-    | Some s ->
-        Mutex.lock s.mu;
-        let cur =
-          match Hashtbl.find_opt s.tbl name with Some c -> c | None -> 0
-        in
-        Hashtbl.replace s.tbl name (cur + v);
-        Mutex.unlock s.mu
-
-  (* Scoped registration, restoring any previously-registered sink on
-     exit so nested scopes (a request issuing a sub-request) compose. *)
-  let with_sink s f =
-    let k = slot () in
-    Mutex.lock reg_mu;
-    let prev = Hashtbl.find_opt registry k in
-    Hashtbl.replace registry k s;
-    Mutex.unlock reg_mu;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock reg_mu;
-        (match prev with
-        | Some p -> Hashtbl.replace registry k p
-        | None -> Hashtbl.remove registry k);
-        Mutex.unlock reg_mu)
-      f
-
-  let rows s =
-    Mutex.lock s.mu;
-    let out = Hashtbl.fold (fun n v acc -> (n, v) :: acc) s.tbl [] in
-    Mutex.unlock s.mu;
-    List.sort compare (List.filter (fun (_, v) -> v <> 0) out)
-end
-
-type request_sink = Request_sink.t
-
-let create_request_sink = Request_sink.create
-let with_request_sink = Request_sink.with_sink
-let request_sink_rows = Request_sink.rows
-
-let current_request_sink_rows () =
-  match Request_sink.current () with
-  | None -> []
-  | Some s -> Request_sink.rows s
-
-(* Pool workers run on fresh domains with no registered sink; wrap the
-   worker body so the spawning request's attribution follows its work.
-   Shadows the engine [map] for every consumer of this module (sweeps,
-   Ranking, Tuning, Experiments). *)
-let map t f xs =
-  match Request_sink.current () with
-  | None -> map t f xs
-  | Some s -> map t (fun x -> Request_sink.with_sink s (fun () -> f x)) xs
-
-(* Mirror the engine cache counters and disk-store activity into the
-   current sink, with the exact row names {!stats_table} renders. *)
-let () =
-  Engine.Stats.set_observer
-    (Some
-       (fun name event ->
-         let field =
-           match event with
-           | `Hit -> "hits"
-           | `Miss -> "misses"
-           | `Dedup -> "dedups"
-         in
-         Request_sink.bump ("engine/" ^ name ^ "/" ^ field) 1));
-  Engine.Disk_store.set_note_observer
-    (Some
-       (fun cache field n ->
-         Request_sink.bump ("store/" ^ cache ^ "/" ^ field) n));
-  Sanitize.set_observer
-    (Some
-       (fun pass checks failures ->
-         if checks <> 0 then
-           Request_sink.bump ("sanitize/" ^ pass ^ "/checked") checks;
-         if failures <> 0 then
-           Request_sink.bump ("sanitize/" ^ pass ^ "/failures") failures));
-  Obs.set_count_observer
-    (Some (fun name n -> Request_sink.bump ("obs/" ^ name) n))
-
 (* Bracket every disk-store I/O with an [Obs] span + counter. Installed
    at module init so the engine library itself never depends on
    lib/obs; free when observability is off. *)
@@ -279,140 +158,34 @@ let product t prepared config =
 
 let prefix_cache_enabled = ref true
 
-module Prefix_stats = struct
-  type t = {
-    mutable hits : int;  (** suffix compiles that skipped a prefix *)
-    mutable misses : int;  (** sweep compiles with nothing to share *)
-    mutable snapshot_bytes : int;
-    mutable passes_skipped : int;
-    mutable merged : int;
-        (** configs served a sibling's binary outright: every contested
-            entry between them was a no-op on this subject, so not even
-            the backend ran for them (see [plan_family]) *)
-  }
+module Counters = Util.Counters
 
-  let state =
-    { hits = 0; misses = 0; snapshot_bytes = 0; passes_skipped = 0; merged = 0 }
+(* The planner's activity, as prefix/* rows of {!Counters.global}:
+   [hits] (suffix compiles that skipped a prefix), [misses] (sweep
+   compiles with nothing to share), [snapshot_bytes], [passes_skipped]
+   and [merged] (configs served a sibling's binary outright: every
+   contested entry between them was a no-op on this subject, so not
+   even the backend ran for them, see [plan_family]). *)
+let prefix_rows =
+  [ "prefix/hits"; "prefix/misses"; "prefix/snapshot_bytes";
+    "prefix/passes_skipped"; "prefix/merged" ]
 
-  let mutex = Mutex.create ()
+let prefix_counters () =
+  List.map (fun n -> (n, Counters.get Counters.global n)) prefix_rows
 
-  (* Mutations arrive as an arbitrary field update; diff the record
-     around it so the per-request sink sees the same named deltas the
-     stats_table rows report. *)
-  let bump f =
-    Mutex.lock mutex;
-    let before =
-      (state.hits, state.misses, state.snapshot_bytes, state.passes_skipped,
-       state.merged)
-    in
-    f state;
-    let h0, m0, b0, p0, g0 = before in
-    let deltas =
-      [
-        ("prefix/hits", state.hits - h0);
-        ("prefix/misses", state.misses - m0);
-        ("prefix/snapshot_bytes", state.snapshot_bytes - b0);
-        ("prefix/passes_skipped", state.passes_skipped - p0);
-        ("prefix/merged", state.merged - g0);
-      ]
-    in
-    Mutex.unlock mutex;
-    List.iter
-      (fun (n, v) -> if v <> 0 then Request_sink.bump n v)
-      deltas
-
-  let counters () =
-    Mutex.lock mutex;
-    let rows =
-      [
-        ("prefix/hits", state.hits);
-        ("prefix/misses", state.misses);
-        ("prefix/snapshot_bytes", state.snapshot_bytes);
-        ("prefix/passes_skipped", state.passes_skipped);
-        ("prefix/merged", state.merged);
-      ]
-    in
-    Mutex.unlock mutex;
-    rows
-
-  let reset () =
-    bump (fun s ->
-        s.hits <- 0;
-        s.misses <- 0;
-        s.snapshot_bytes <- 0;
-        s.passes_skipped <- 0;
-        s.merged <- 0)
-end
-
-let prefix_counters = Prefix_stats.counters
-let reset_prefix_counters = Prefix_stats.reset
-
-(* Named process-global counter tables, one instance per subsystem.
-   Thread-safe; [counters] returns sorted rows so every consumer prints
-   deterministically. [Prefix] is the subsystem's row prefix in
-   {!stats_table} ("shard/", ...), which is also how each bump is
-   mirrored into the current request sink. *)
-module Counter_table (Prefix : sig
-  val prefix : string
-end) =
-struct
-  let table : (string, int) Hashtbl.t = Hashtbl.create 8
-  let mutex = Mutex.create ()
-
-  let bump name v =
-    Mutex.lock mutex;
-    let cur = match Hashtbl.find_opt table name with Some c -> c | None -> 0 in
-    Hashtbl.replace table name (cur + v);
-    Mutex.unlock mutex;
-    Request_sink.bump (Prefix.prefix ^ name) v
-
-  let counters () =
-    Mutex.lock mutex;
-    let rows = Hashtbl.fold (fun n v acc -> (n, v) :: acc) table [] in
-    Mutex.unlock mutex;
-    List.sort compare rows
-
-  let reset () =
-    Mutex.lock mutex;
-    Hashtbl.reset table;
-    Mutex.unlock mutex
-end
-
-(* Shard progress/resume counters. The sharded experiment runner bumps
-   these as it walks its slice of the corpus; they surface as shard/*
-   rows of {!stats_table}, so a shard's JSON partial (and `--stats`)
-   reports how far it got and how much of a rerun came warm from the
-   store. Process-global like the sanitizer and prefix counters. *)
-module Shard_stats = Counter_table (struct
-  let prefix = "shard/"
-end)
-
-let shard_counters = Shard_stats.counters
-let bump_shard_counter = Shard_stats.bump
-let reset_shard_counters = Shard_stats.reset
+let reset_prefix_counters () = Counters.reset Counters.global ~prefix:"prefix/"
+let prefix_add name n = Counters.add Counters.global ("prefix/" ^ name) n
 
 (* Tuning-search counters (candidates evaluated, suffix-shared
    compiles, frontier size, dominated points, store-resumed
-   evaluations). Surface as search/* rows of {!stats_table}; the bench
-   dominance gate and the resume test read them. *)
-module Search_stats = Counter_table (struct
-  let prefix = "search/"
-end)
+   evaluations), as search/* rows; the bench dominance gate and the
+   resume test read them. *)
+let search_counters () =
+  List.map
+    (fun (n, v) -> (String.sub n 7 (String.length n - 7), v))
+    (Counters.rows ~prefix:"search/" Counters.global)
 
-let search_counters = Search_stats.counters
-let bump_search_counter = Search_stats.bump
-let reset_search_counters = Search_stats.reset
-
-(* VM-layer counters, today just the decoded-program cache
-   (decode_hits = decode results served from the persistent store,
-   decode_misses = fresh decodes). Surface as vm/* rows of
-   {!stats_table}. *)
-module Vm_stats = Counter_table (struct
-  let prefix = "vm/"
-end)
-
-let vm_counters = Vm_stats.counters
-let reset_vm_counters = Vm_stats.reset
+let reset_search_counters () = Counters.reset Counters.global ~prefix:"search/"
 
 (* Key decoded programs into the persistent store: a warm daemon (or a
    second process sharing --cache-dir) skips re-decoding every binary
@@ -450,7 +223,9 @@ let () =
          ps_note =
            (fun hit ->
              if !decode_store <> None then
-               Vm_stats.bump (if hit then "decode_hits" else "decode_misses") 1);
+               Counters.add Counters.global
+                 (if hit then "vm/decode_hits" else "vm/decode_misses")
+                 1);
        })
 
 let prefix_span name args f =
@@ -536,17 +311,15 @@ let plan_family ~ast ~roots configs =
   let effective c = Array.map (fun e -> Toolchain.entry_effective c e) entries in
   List.iter
     (fun (_, depth) ->
-      Prefix_stats.bump (fun s ->
-          if depth > 0 then begin
-            s.hits <- s.hits + 1;
-            s.passes_skipped <- s.passes_skipped + depth
-          end
-          else s.misses <- s.misses + 1))
+      if depth > 0 then begin
+        prefix_add "hits" 1;
+        prefix_add "passes_skipped" depth
+      end
+      else prefix_add "misses" 1)
     (structural_depths n (List.map (fun c -> (c, bits c)) configs));
   let tagged = List.map (fun c -> (c, effective c)) configs in
   let note_capture cp =
-    Prefix_stats.bump (fun s ->
-        s.snapshot_bytes <- s.snapshot_bytes + Toolchain.checkpoint_bytes cp)
+    prefix_add "snapshot_bytes" (Toolchain.checkpoint_bytes cp)
   in
   let cp0 =
     prefix_span "prefix:snapshot" [ ("upto", "0") ] (fun () ->
@@ -660,7 +433,7 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
          (fun job ->
            match job with
            | Straight c ->
-               Prefix_stats.bump (fun s -> s.misses <- s.misses + 1);
+               prefix_add "misses" 1;
                seed c (fun () -> straight c)
            | Suffix (c, cp) ->
                seed c (fun () ->
@@ -677,8 +450,7 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
                       [ ("config", Config.fingerprint rep) ]
                       (fun () -> Toolchain.resume ~from:cp rep))
                in
-               Prefix_stats.bump (fun s ->
-                   s.merged <- s.merged + List.length cs - 1);
+               prefix_add "merged" (List.length cs - 1);
                List.iter (fun c -> seed c (fun () -> Lazy.force bin)) cs)
          jobs
         : unit list)
@@ -699,78 +471,25 @@ let bench_compile_sweep t (sp : Suite_types.sprogram) configs =
     ~straight:(fun c -> Domain_impl.bench_compile sp c)
     configs
 
-let sanitizer_stats () =
-  List.map
-    (fun (pass, checks, failures) ->
-      ( "sanitize:" ^ pass,
-        { Engine.Stats.hits = checks; misses = failures; dedups = 0 } ))
-    (Sanitize.counters ())
-
-(** One flat [(name, value)] table merging every counter source — the
-    engine caches ([engine/<cache>/hits|misses|dedups], zero rows
-    dropped), the sanitizer ([sanitize/<pass>/checked|failures]) and
-    any live [Obs] counters ([obs/<name>]) — so [bench --stats] and the
-    CLI render one table through one code path, text or JSON alike. *)
+(** One flat, sorted [(name, value)] table of every counter this engine
+    can see: its own [engine/*] rows and its store's [store/*] rows, the
+    process-wide rows of {!Counters.global} ([sanitize/*], [prefix/*],
+    [shard/*], [search/*], [vm/*]) and the live [Obs] session's
+    [obs/*] rows — so [bench --stats] and the CLI render one table
+    through one code path, text or JSON alike. *)
 let stats_table t : (string * int) list =
-  let engine_rows =
-    List.concat_map
-      (fun (name, { Engine.Stats.hits; misses; dedups }) ->
-        List.filter
-          (fun (_, v) -> v <> 0)
-          [
-            ("engine/" ^ name ^ "/hits", hits);
-            ("engine/" ^ name ^ "/misses", misses);
-            ("engine/" ^ name ^ "/dedups", dedups);
-          ])
-      (Engine.Stats.snapshot (stats t))
-  in
-  let sanitize_rows =
-    List.concat_map
-      (fun (pass, checks, failures) ->
-        ("sanitize/" ^ pass ^ "/checked", checks)
-        :: (if failures <> 0 then [ ("sanitize/" ^ pass ^ "/failures", failures) ]
-            else []))
-      (Sanitize.counters ())
-  in
-  let store_rows =
-    match store t with
-    | None -> []
-    | Some s ->
-        List.filter_map
-          (fun (n, v) -> if v = 0 then None else Some ("store/" ^ n, v))
-          (Engine.Disk_store.counters s)
-  in
-  let obs_rows =
-    List.map (fun (n, v) -> ("obs/" ^ n, v)) (Obs.current_counters ())
-  in
-  let prefix_rows =
-    List.filter (fun (_, v) -> v <> 0) (Prefix_stats.counters ())
-  in
-  let shard_rows =
-    List.filter_map
-      (fun (n, v) -> if v = 0 then None else Some ("shard/" ^ n, v))
-      (Shard_stats.counters ())
-  in
-  let search_rows =
-    List.filter_map
-      (fun (n, v) -> if v = 0 then None else Some ("search/" ^ n, v))
-      (Search_stats.counters ())
-  in
-  let vm_rows =
-    List.filter_map
-      (fun (n, v) -> if v = 0 then None else Some ("vm/" ^ n, v))
-      (Vm_stats.counters ())
-  in
   List.sort compare
-    (engine_rows @ sanitize_rows @ store_rows @ obs_rows @ prefix_rows
-   @ shard_rows @ search_rows @ vm_rows)
+    (Counters.rows (stats t)
+    @ (match store t with
+      | None -> []
+      | Some s ->
+          List.map (fun (n, v) -> ("store/" ^ n, v)) (Engine.Disk_store.counters s))
+    @ Counters.rows Counters.global
+    @ List.map (fun (n, v) -> ("obs/" ^ n, v)) (Obs.current_counters ()))
 
 (** [stats_delta ~before after] subtracts two {!stats_table} snapshots
     row-wise (rows absent from [before] count from zero; zero-delta
-    rows are dropped), preserving [after]'s sorted order. This is how
-    a service request reports only its own work: snapshot the table,
-    run, snapshot again, subtract — sound even though the underlying
-    counters are process-cumulative. *)
+    rows are dropped), preserving [after]'s sorted order. *)
 let stats_delta ~before after : (string * int) list =
   List.filter_map
     (fun (name, v) ->

@@ -90,43 +90,9 @@ val bench_cost : t -> Suite_types.sprogram -> Config.t -> int
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Deterministic ordered parallel map on the engine's pool; [f] may
-    issue engine jobs (the caches are domain-safe). Pool workers inherit
-    the calling (domain, thread)'s request sink, so parallel work inside
-    a request is attributed to that request. *)
-
-(** {1 Per-request counter attribution}
-
-    Every counter in the repository is process-cumulative; a service
-    request must report only its own work. Under serialized execution a
-    snapshot/subtract over {!stats_table} was enough; under concurrent
-    execution it is unsound — the two snapshots bracket other requests'
-    activity. Instead, each request registers a private sink for its
-    (domain, thread) scope: every counter choke point (engine caches,
-    disk store, sanitizer, obs counters, prefix planner, shard / search
-    / vm tables) mirrors its bump into the current sink, using the exact
-    row names {!stats_table} renders, so a request's rows equal what a
-    serialized {!stats_delta} would have reported. *)
-
-type request_sink
-
-val create_request_sink : unit -> request_sink
-(** A fresh, empty sink. *)
-
-val with_request_sink : request_sink -> (unit -> 'a) -> 'a
-(** [with_request_sink s f] runs [f] with [s] registered as the current
-    (domain, thread)'s sink, restoring any previously-registered sink on
-    exit (nested scopes compose). Concurrent callers on distinct threads
-    or domains do not interfere. *)
-
-val request_sink_rows : request_sink -> (string * int) list
-(** The sink's accumulated rows, sorted, zero rows dropped — the same
-    shape (and names) as {!stats_delta} over {!stats_table}. *)
-
-val current_request_sink_rows : unit -> (string * int) list
-(** The rows of the sink registered for the calling (domain, thread)
-    scope, [[]] when none — lets request code observe its own
-    accumulated counters mid-flight (e.g. the checker report extracts
-    its per-pass sanitize rows). *)
+    issue engine jobs (the caches are domain-safe). Pool workers run in
+    the caller's {!Util.Counters} scope, so parallel work inside a
+    request is attributed to that request. *)
 
 (** {1 Pass-prefix incremental compilation}
 
@@ -175,19 +141,6 @@ val prefix_counters : unit -> (string * int) list
 val reset_prefix_counters : unit -> unit
 (** Zero the planner counters (tests, bench scenario isolation). *)
 
-val shard_counters : unit -> (string * int) list
-(** Shard progress/resume counters bumped by the sharded experiment
-    runner ([programs], [rows], [resumed_programs], ...), raw (no
-    prefix). Merged into {!stats_table} as [shard/<name>] rows, so a
-    shard's partial JSON and [--stats] output report how far the slice
-    got and how much of a rerun was served warm. *)
-
-val bump_shard_counter : string -> int -> unit
-(** Add to a named shard counter (process-global, thread-safe). *)
-
-val reset_shard_counters : unit -> unit
-(** Zero the shard counters (tests, bench scenario isolation). *)
-
 val search_counters : unit -> (string * int) list
 (** Tuning-search counters bumped by {!Tuning.search} ([candidates],
     [suffix_shared], [frontier], [dominated], [resumed], [rounds]),
@@ -195,20 +148,8 @@ val search_counters : unit -> (string * int) list
     rows — the bench dominance gate and the resume regression test
     read them from there. *)
 
-val bump_search_counter : string -> int -> unit
-(** Add to a named search counter (process-global, thread-safe). *)
-
 val reset_search_counters : unit -> unit
 (** Zero the search counters (tests, bench scenario isolation). *)
-
-val vm_counters : unit -> (string * int) list
-(** VM-layer counters, raw (no prefix): [decode_hits] (decoded programs
-    served from the persistent store) and [decode_misses] (fresh
-    decodes), bumped only when an engine with a store has been created.
-    Merged into {!stats_table} as [vm/<name>] rows. *)
-
-val reset_vm_counters : unit -> unit
-(** Zero the vm counters (tests, bench scenario isolation). *)
 
 val workers : t -> int
 val stats : t -> Engine.Stats.t
@@ -216,33 +157,25 @@ val stats : t -> Engine.Stats.t
 val store : t -> Engine.Disk_store.t option
 (** The persistent store this engine was created with, if any. *)
 
-val sanitizer_stats : unit -> (string * Engine.Stats.counter) list
-(** Per-pass sanitizer counters ({!Sanitize.counters}) in the engine's
-    counter shape — [hits] = boundaries validated, [misses] = invariant
-    failures — named ["sanitize:<pass>"] so they interleave with the
-    cache counters in [bench --stats] output. Empty unless compiles ran
-    with the sanitizer on ([--sanitize] / [~sanitize:true]). *)
-
 val stats_table : t -> (string * int) list
-(** One flat, sorted [(name, value)] table merging every counter
-    source: engine cache activity ([engine/<cache>/hits|misses|dedups],
-    zero rows dropped), sanitizer boundaries
-    ([sanitize/<pass>/checked|failures]), disk-store activity
-    ([store/<cache>/hits|misses|writes|corrupt|stale|evicted], zero rows
-    dropped, present only when the engine has a store), live [Obs]
-    counters ([obs/<name>]), shard progress counters
-    ([shard/<name>]), tuning-search counters ([search/<name>]) and
-    vm-layer counters ([vm/<name>], zero rows dropped).
-    The single stats path behind
-    [bench --stats] and the CLI, in both text and JSON renderings. *)
+(** One flat, sorted [(name, value)] table of every non-zero counter
+    this engine can see: its cache activity
+    ([engine/<cache>/hits|misses|dedups]), its store's activity
+    ([store/<cache>/...], present only when the engine has a store),
+    the process-wide {!Util.Counters.global} rows (sanitizer boundaries
+    [sanitize/<pass>/checked|failures], planner [prefix/*], shard
+    progress [shard/*], tuning search [search/*], vm layer [vm/*]) and
+    the live [Obs] session's counters ([obs/<name>]). The single stats
+    path behind [bench --stats] and the CLI, in both text and JSON
+    renderings. *)
 
 val stats_delta :
   before:(string * int) list -> (string * int) list -> (string * int) list
 (** [stats_delta ~before after] subtracts two {!stats_table} snapshots
     row-wise (rows absent from [before] count from zero, zero-delta
-    rows dropped), preserving [after]'s order. The per-request
-    accounting primitive behind [Api.Response.stats]: counters are
-    process-cumulative, deltas are per-request. *)
+    rows dropped), preserving [after]'s order. Only sound for serial
+    before/after callers (the benchmark harness): a concurrent request
+    reads its own {!Util.Counters} scope instead. *)
 
 val memo : t -> name:string -> (unit -> 'a Engine.Memo.t)
 (** A fresh memo table wired to this engine's counters, for derived

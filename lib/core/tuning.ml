@@ -235,28 +235,25 @@ let eval_batch st (batch : Config.t list) =
         keyed
     in
     st.st_resumed <- st.st_resumed + List.length resumed;
-    Measure_engine.bump_search_counter "resumed" (List.length resumed);
+    Util.Counters.add Util.Counters.global "search/resumed" (List.length resumed);
     let computed =
       if to_compute = [] then []
       else begin
-        let prefix_before = Measure_engine.prefix_counters () in
+        (* The sweeps run in their own scope, so [suffix_shared] counts
+           exactly this search's prefix reuse even while other sweeps
+           share the process. *)
+        let sweeps = Util.Counters.create () in
         let configs = List.map fst to_compute in
-        List.iter
-          (fun p -> Measure_engine.compile_sweep st.st_engine p configs)
-          st.st_suite;
-        List.iter
-          (fun b -> Measure_engine.bench_compile_sweep st.st_engine b configs)
-          st.st_benches;
-        let shared =
-          let get rows n =
-            match List.assoc_opt n rows with Some v -> v | None -> 0
-          in
-          let after = Measure_engine.prefix_counters () in
-          get after "prefix/hits" + get after "prefix/merged"
-          - get prefix_before "prefix/hits"
-          - get prefix_before "prefix/merged"
-        in
-        Measure_engine.bump_search_counter "suffix_shared" (max 0 shared);
+        Util.Counters.with_scope sweeps (fun () ->
+            List.iter
+              (fun p -> Measure_engine.compile_sweep st.st_engine p configs)
+              st.st_suite;
+            List.iter
+              (fun b -> Measure_engine.bench_compile_sweep st.st_engine b configs)
+              st.st_benches);
+        Util.Counters.add Util.Counters.global "search/suffix_shared"
+          (Util.Counters.get sweeps "prefix/hits"
+          + Util.Counters.get sweeps "prefix/merged");
         let points =
           Measure_engine.map st.st_engine
             (fun c ->
@@ -287,8 +284,8 @@ let eval_batch st (batch : Config.t list) =
         st.st_order <- (c, d, s) :: st.st_order;
         st.st_count <- st.st_count + 1)
       fresh;
-    Measure_engine.bump_search_counter "candidates" (List.length fresh);
-    Measure_engine.bump_search_counter "rounds" 1
+    Util.Counters.add Util.Counters.global "search/candidates" (List.length fresh);
+    Util.Counters.add Util.Counters.global "search/rounds" 1
   end;
   List.filter_map
     (fun c ->
@@ -562,8 +559,8 @@ let search ?engine (prepared_suite : Evaluation.prepared list)
   let points = List.rev st.st_order in
   let frontier = front_of points in
   let dominated = st.st_count - List.length frontier in
-  Measure_engine.bump_search_counter "frontier" (List.length frontier);
-  Measure_engine.bump_search_counter "dominated" dominated;
+  Util.Counters.add Util.Counters.global "search/frontier" (List.length frontier);
+  Util.Counters.add Util.Counters.global "search/dominated" dominated;
   {
     sr_base = base;
     sr_strategy = opts.so_strategy;

@@ -4,55 +4,32 @@
 
 module Stats = struct
   type counter = { hits : int; misses : int; dedups : int }
-
-  type cell = {
-    mutable c_hits : int;
-    mutable c_misses : int;
-    mutable c_dedups : int;
-  }
-
   type event = [ `Hit | `Miss | `Dedup ]
+  type t = Util.Counters.t
 
-  type t = { mutex : Mutex.t; cells : (string, cell) Hashtbl.t }
-
-  let create () = { mutex = Mutex.create (); cells = Hashtbl.create 8 }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-  let cell t name =
-    match Hashtbl.find_opt t.cells name with
-    | Some c -> c
-    | None ->
-        let c = { c_hits = 0; c_misses = 0; c_dedups = 0 } in
-        Hashtbl.replace t.cells name c;
-        c
-
-  (* Observability seam: the instantiation (Measure_engine) mirrors
-     every bump into a per-request counter sink without this library
-     depending on it. Called outside the table lock, after the
-     cumulative counter has been updated. *)
-  let observer : (string -> event -> unit) option ref = ref None
-  let set_observer f = observer := f
+  let create = Util.Counters.create
 
   let bump t name (event : event) =
-    locked t (fun () ->
-        let c = cell t name in
-        match event with
-        | `Hit -> c.c_hits <- c.c_hits + 1
-        | `Miss -> c.c_misses <- c.c_misses + 1
-        | `Dedup -> c.c_dedups <- c.c_dedups + 1);
-    match !observer with None -> () | Some f -> f name event
+    let field =
+      match event with `Hit -> "/hits" | `Miss -> "/misses" | `Dedup -> "/dedups"
+    in
+    Util.Counters.add t ("engine/" ^ name ^ field) 1
 
+  (* A view over the [engine/<cache>/<field>] rows. *)
   let snapshot t =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun name c acc ->
-            (name, { hits = c.c_hits; misses = c.c_misses; dedups = c.c_dedups })
-            :: acc)
-          t.cells []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+    let rows = Util.Counters.rows ~prefix:"engine/" t in
+    let get name field =
+      Option.value ~default:0 (List.assoc_opt ("engine/" ^ name ^ field) rows)
+    in
+    List.map (fun (row, _) -> String.sub row 7 (String.rindex row '/' - 7)) rows
+    |> List.sort_uniq String.compare
+    |> List.map (fun name ->
+           ( name,
+             {
+               hits = get name "/hits";
+               misses = get name "/misses";
+               dedups = get name "/dedups";
+             } ))
 
   let total t =
     List.fold_left
@@ -92,37 +69,18 @@ module Disk_store = struct
   let wrapped name args f =
     match !io_wrap with None -> f () | Some w -> w.wrap name args f
 
-  (* Second seam, same shape as {!Stats.observer}: every counter
-     mutation is mirrored as [(cache, field, amount)] so the
-     instantiation can attribute store activity to the request that
-     caused it. May fire with the store lock held, so the observer must
-     never re-enter this module. *)
-  let note_observer : (string -> string -> int -> unit) option ref = ref None
-  let set_note_observer f = note_observer := f
-
-  let note cache field n =
-    match !note_observer with None -> () | Some f -> f cache field n
-
-  type cell = {
-    mutable s_hits : int;
-    mutable s_misses : int;
-    mutable s_writes : int;
-    mutable s_corrupt : int;  (** truncated / bit-flipped / undecodable *)
-    mutable s_stale : int;  (** format-version or schema mismatch *)
-    mutable s_evicted : int;  (** removed by the size bound (LRU) *)
-    mutable s_evicted_ext : int;
-        (** entries this handle published that later vanished from disk —
-            evicted by another process sharing the directory *)
-    mutable s_write_errors : int;  (** puts that failed on an I/O error *)
-  }
-
   type t = {
     root : string;
     schema : string;
     max_bytes : int;
     mutex : Mutex.t;
     mutable size : int;  (** approximate: concurrent processes drift it *)
-    cells : (string, cell) Hashtbl.t;
+    counters : Util.Counters.t;
+        (** [store/<cache>/<field>] rows: hits, misses, writes, corrupt
+            (truncated / bit-flipped / undecodable), stale (version or
+            schema mismatch), evicted (this handle's LRU/gc removals),
+            evicted_ext (entries this handle published that another
+            process evicted), write_errors (puts failed on I/O) *)
     written : (string, unit) Hashtbl.t;
         (** entry paths this handle published (and has not itself
             removed): a later disk miss on one of them means another
@@ -135,27 +93,9 @@ module Disk_store = struct
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-  (* Assumes the lock is held. *)
-  let cell t name =
-    match Hashtbl.find_opt t.cells name with
-    | Some c -> c
-    | None ->
-        let c =
-          {
-            s_hits = 0;
-            s_misses = 0;
-            s_writes = 0;
-            s_corrupt = 0;
-            s_stale = 0;
-            s_evicted = 0;
-            s_evicted_ext = 0;
-            s_write_errors = 0;
-          }
-        in
-        Hashtbl.replace t.cells name c;
-        c
+  let note t cache field =
+    Util.Counters.add t.counters ("store/" ^ cache ^ "/" ^ field) 1
 
-  let bump t name f = locked t (fun () -> f (cell t name))
   let objects_dir t = Filename.concat t.root "objects"
   let tmp_dir t = Filename.concat t.root "tmp"
 
@@ -210,7 +150,7 @@ module Disk_store = struct
         max_bytes = max 1 max_bytes;
         mutex = Mutex.create ();
         size = 0;
-        cells = Hashtbl.create 8;
+        counters = Util.Counters.create ();
         written = Hashtbl.create 64;
       }
     in
@@ -328,8 +268,7 @@ module Disk_store = struct
               | () ->
                   t.size <- max 0 (t.size - bytes);
                   Hashtbl.remove t.written path;
-                  (cell t cache).s_evicted <- (cell t cache).s_evicted + 1;
-                  note cache "evicted" 1
+                  note t cache "evicted"
               | exception Sys_error _ -> ())
         (List.sort compare entries)
     end
@@ -370,69 +309,58 @@ module Disk_store = struct
       let replaced = file_size path in
       Sys.rename tmp path;
       locked t (fun () ->
-          (cell t cache).s_writes <- (cell t cache).s_writes + 1;
-          note cache "writes" 1;
+          note t cache "writes";
           Hashtbl.replace t.written path ();
           t.size <- max 0 (t.size + bytes - replaced);
           if t.size > t.max_bytes then evict_locked t)
     with Sys_error _ | Unix.Unix_error _ ->
       (try Sys.remove tmp with Sys_error _ -> ());
-      bump t cache (fun c -> c.s_write_errors <- c.s_write_errors + 1);
-      note cache "write_errors" 1
+      note t cache "write_errors"
 
   let get t ~cache ~key =
     wrapped "store:get" [ ("cache", cache) ] @@ fun () ->
     let path = entry_path t ~cache ~key in
     if not (Sys.file_exists path) then begin
+      note t cache "misses";
       (* A miss on an entry we ourselves published (and did not remove)
          means another process's eviction took it: the cross-process
          eviction signal, counted separately from our own LRU work. *)
       locked t (fun () ->
-          let c = cell t cache in
-          c.s_misses <- c.s_misses + 1;
-          note cache "misses" 1;
           if Hashtbl.mem t.written path then begin
             Hashtbl.remove t.written path;
-            c.s_evicted_ext <- c.s_evicted_ext + 1;
-            note cache "evicted_ext" 1
+            note t cache "evicted_ext"
           end);
       None
     end
     else
       match read_entry t ~expect_key:key path with
       | payload ->
-          bump t cache (fun c -> c.s_hits <- c.s_hits + 1);
-          note cache "hits" 1;
+          note t cache "hits";
           (* LRU clock: a hit refreshes the entry's mtime. *)
           (try Unix.utimes path 0.0 0.0 with _ -> ());
           Some payload
       | exception Bad Other_key ->
           (* An md5 collision between distinct keys: not our entry, so
              leave it alone and recompute. *)
-          bump t cache (fun c -> c.s_misses <- c.s_misses + 1);
-          note cache "misses" 1;
+          note t cache "misses";
           None
       | exception Bad Stale ->
           remove_entry t path;
-          bump t cache (fun c -> c.s_stale <- c.s_stale + 1);
-          note cache "stale" 1;
+          note t cache "stale";
           None
       | exception Bad Corrupt ->
           remove_entry t path;
-          bump t cache (fun c -> c.s_corrupt <- c.s_corrupt + 1);
-          note cache "corrupt" 1;
+          note t cache "corrupt";
           None
       | exception _ ->
-          bump t cache (fun c -> c.s_misses <- c.s_misses + 1);
-          note cache "misses" 1;
+          note t cache "misses";
           None
 
   (* The caller decoded a checksummed payload and failed — a schema
      drift the version stamp did not capture. Evict and count. *)
   let invalidate t ~cache ~key =
     remove_entry t (entry_path t ~cache ~key);
-    bump t cache (fun c -> c.s_corrupt <- c.s_corrupt + 1);
-    note cache "corrupt" 1
+    note t cache "corrupt"
 
   let remove_tmp t ~max_age =
     let now = Unix.time () in
@@ -486,9 +414,7 @@ module Disk_store = struct
                 incr removed;
                 t.size <- max 0 (t.size - bytes);
                 Hashtbl.remove t.written path;
-                let c = cell t cache in
-                c.s_evicted <- c.s_evicted + 1;
-                note cache "evicted" 1
+                note t cache "evicted"
             | exception Sys_error _ -> ())
         | exception Bad Other_key -> assert false)
       ();
@@ -513,23 +439,10 @@ module Disk_store = struct
     Hashtbl.fold (fun cache (n, b) acc -> (cache, n, b) :: acc) tbl []
     |> List.sort compare
 
-  (** Flat [(counter-name, value)] rows ([<cache>/hits] etc.), zero rows
-      included (the renderer filters), sorted. *)
   let counters t =
-    locked t @@ fun () ->
-    Hashtbl.fold
-      (fun name c acc ->
-        (name ^ "/hits", c.s_hits)
-        :: (name ^ "/misses", c.s_misses)
-        :: (name ^ "/writes", c.s_writes)
-        :: (name ^ "/corrupt", c.s_corrupt)
-        :: (name ^ "/stale", c.s_stale)
-        :: (name ^ "/evicted", c.s_evicted)
-        :: (name ^ "/evicted_ext", c.s_evicted_ext)
-        :: (name ^ "/write_errors", c.s_write_errors)
-        :: acc)
-      t.cells []
-    |> List.sort compare
+    List.map
+      (fun (row, v) -> (String.sub row 6 (String.length row - 6), v))
+      (Util.Counters.rows t.counters)
 end
 
 module Memo = struct
@@ -645,6 +558,11 @@ module Pool = struct
           end
         in
         loop ()
+      in
+      let worker =
+        match Util.Counters.current () with
+        | None -> worker
+        | Some scope -> fun () -> Util.Counters.with_scope scope worker
       in
       let domains =
         List.init (min t.workers n) (fun _ -> Domain.spawn worker)

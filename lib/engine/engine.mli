@@ -8,7 +8,8 @@
     drivers run on:
 
     - {!Stats}: named hit / miss / dedup counters, so the caching is
-      observable (surfaced by [bench/main.exe --stats]);
+      observable (surfaced by [bench/main.exe --stats]) and attributed
+      to the current {!Util.Counters} request scope;
     - {!Memo}: a mutex-protected content-addressed memo table (string
       key -> value) with per-table counters;
     - {!Pool}: an optional [Domain]-based worker pool with a
@@ -33,14 +34,16 @@
       are resumable.
 
     The library is deliberately ignorant of the compiler model: it
-    depends on nothing but the standard library (plus [Unix], for the
-    disk store's atomic-rename publication and LRU clock); the concrete
-    instantiation lives in [Debugtuner.Measure_engine]. *)
+    depends on nothing but the standard library, [Util.Counters] (where
+    every counter lives) and [Unix] (for the disk store's atomic-rename
+    publication and LRU clock); the concrete instantiation lives in
+    [Debugtuner.Measure_engine]. *)
 
 (** {1 Cache statistics} *)
 
 module Stats : sig
-  type t
+  type t = Util.Counters.t
+  (** Rows [engine/<cache>/hits|misses|dedups]. *)
 
   type counter = {
     hits : int;  (** result served from a cache tier *)
@@ -57,19 +60,13 @@ module Stats : sig
 
   val bump : t -> string -> event -> unit
   (** [bump t cache event] increments [event]'s counter of the named
-      cache. Domain-safe. *)
+      cache (and of the current scope). Domain-safe. *)
 
   val snapshot : t -> (string * counter) list
   (** Per-cache counters, sorted by cache name. *)
 
   val total : t -> counter
   (** Sum over every cache. *)
-
-  val set_observer : (string -> event -> unit) option -> unit
-  (** Install a process-wide mirror called after every {!bump} with the
-      cache name and event, outside the table lock — the instantiation
-      points this at its per-request counter sink so concurrent
-      requests can each report only their own activity. *)
 end
 
 (** {1 Persistent content-addressed artifact store} *)
@@ -133,11 +130,12 @@ module Disk_store : sig
 
   val counters : t -> (string * int) list
   (** This handle's activity as flat rows —
-      [<cache>/hits|misses|writes|corrupt|stale|evicted|evicted_ext|write_errors] —
-      sorted; zero rows included (renderers filter). [evicted] counts
-      this handle's own LRU/gc removals; [evicted_ext] counts entries
-      this handle published that later vanished from disk, i.e.
-      evictions performed by another process sharing the directory. *)
+      [<cache>/hits|misses|writes|corrupt|stale|evicted|evicted_ext|write_errors]
+      (the stats table's [store/*] rows) — sorted, zero rows dropped. [evicted] counts this handle's own
+      LRU/gc removals; [evicted_ext] counts entries this handle
+      published that later vanished from disk, i.e. evictions
+      performed by another process sharing the directory. Every bump
+      also reaches the current {!Util.Counters} scope. *)
 
   (** {2 Observability seam} *)
 
@@ -149,13 +147,6 @@ module Disk_store : sig
   (** Install a wrapper bracketing every store I/O ([store:get],
       [store:put], [store:gc]) — the instantiation points this at [Obs]
       spans/counters without this library depending on lib/obs. *)
-
-  val set_note_observer : (string -> string -> int -> unit) option -> unit
-  (** Install a process-wide mirror called as [(cache, field, amount)]
-      on every counter mutation ([hits], [misses], [writes], [corrupt],
-      [stale], [evicted], [evicted_ext]) — the per-request attribution
-      seam. May fire with internal store locks held: the observer must
-      not call back into the store. *)
 end
 
 (** {1 Content-addressed memo tables} *)
@@ -202,7 +193,9 @@ module Pool : sig
   (** Ordered parallel map: the result list matches the input order
       element-for-element regardless of worker count or scheduling, so
       any reduction over it is deterministic. Exceptions raised by [f]
-      are re-raised (the one attached to the earliest input wins). *)
+      are re-raised (the one attached to the earliest input wins).
+      Workers run in the caller's {!Util.Counters} scope, so parallel
+      work inside a request is attributed to that request. *)
 end
 
 (** {1 The typed job API} *)

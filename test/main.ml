@@ -34,6 +34,7 @@ let () =
       ("differential", Test_differential.tests);
       ("vm-conformance", Test_vm_conformance.tests);
       ("api", Test_api.tests);
+      ("counters", Test_counters.tests);
       ("shard", Test_shard.tests);
       ("search", Test_search.tests);
       ("golden", Test_golden.tests);
