@@ -45,67 +45,32 @@
 
    Volatile numbers (absolute seconds, ratios) are printed on lines
    starting with '#', so CI determinism diffs can drop them; the
-   PASS/FAIL verdict lines are stable. No dependencies beyond the
-   stdlib: the JSON is the harness's own flat output, scanned with
-   substring matching rather than a parser. *)
+   PASS/FAIL verdict lines are stable. The three files are read with
+   Util.Json; one that cannot be read or parsed exits 2 with a one-line
+   message naming it. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+module J = Util.Json
 
-let find_sub text needle from =
-  let nl = String.length needle and tl = String.length text in
-  let rec go i =
-    if i + nl > tl then raise Not_found
-    else if String.sub text i nl = needle then i
-    else go (i + 1)
-  in
-  go from
+let load path =
+  match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | doc -> doc
+  | exception (J.Parse_error msg | Sys_error msg) ->
+      Printf.eprintf "%s: unreadable bench json: %s\n" path msg;
+      exit 2
 
-let is_num_char = function
-  | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-  | _ -> false
+(** The [(name, <key>)] pairs of the [{"name": ..., <key>: <number>}]
+    rows of the array [table]. *)
+let named_rows doc table key =
+  List.filter_map
+    (fun row ->
+      match (Option.bind (J.field "name" row) J.str, Option.bind (J.field key row) J.num) with
+      | Some name, Some v -> Some (name, v)
+      | _ -> None)
+    (Option.value ~default:[] (Option.bind (J.field table doc) J.arr))
 
-let number_after text pos =
-  let n = String.length text in
-  let j = ref pos in
-  while !j < n && (text.[!j] = ' ' || text.[!j] = '\t') do
-    incr j
-  done;
-  let k = ref !j in
-  while !k < n && is_num_char text.[!k] do
-    incr k
-  done;
-  if !k > !j then float_of_string_opt (String.sub text !j (!k - !j)) else None
-
-(** The first ["key": <number>] in [text]. *)
-let scan_float text key =
-  let needle = "\"" ^ key ^ "\":" in
-  match find_sub text needle 0 with
-  | exception Not_found -> None
-  | i -> number_after text (i + String.length needle)
-
-(** Every [{"name": "<name>", "value": <int>}] row of the stats table. *)
-let counter_rows text =
-  let rows = ref [] in
-  let pos = ref 0 in
-  (try
-     while true do
-       let i = find_sub text "{\"name\": \"" !pos in
-       let name_start = i + String.length "{\"name\": \"" in
-       let name_end = String.index_from text name_start '"' in
-       let name = String.sub text name_start (name_end - name_start) in
-       let v = find_sub text "\"value\":" name_end in
-       (match number_after text (v + String.length "\"value\":") with
-       | Some f -> rows := (name, int_of_float f) :: !rows
-       | None -> ());
-       pos := v
-     done
-   with Not_found -> ());
-  List.rev !rows
+(** Every counter row of the stats table. *)
+let counter_rows doc =
+  List.map (fun (name, v) -> (name, int_of_float v)) (named_rows doc "stats" "value")
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -132,14 +97,14 @@ let () =
   | _ ->
       prerr_endline "usage: compare.exe BASELINE.json COLD.json WARM.json";
       exit 2);
-  let baseline = read_file Sys.argv.(1)
-  and cold = read_file Sys.argv.(2)
-  and warm = read_file Sys.argv.(3) in
+  let baseline = load Sys.argv.(1)
+  and cold = load Sys.argv.(2)
+  and warm = load Sys.argv.(3) in
   let tolerance = env_float "DEBUGTUNER_BENCH_TOLERANCE" 0.20 in
   let warm_floor = env_float "DEBUGTUNER_WARM_FLOOR" 3.0 in
   let hit_floor = env_float "DEBUGTUNER_HIT_FLOOR" 0.9 in
-  let total name text =
-    match scan_float text "total_seconds" with
+  let total name doc =
+    match Option.bind (J.field "total_seconds" doc) J.num with
     | Some s -> s
     | None ->
         Printf.eprintf "%s: no total_seconds field\n" name;
@@ -200,12 +165,7 @@ let () =
   (* Daemon latency gate: a warm request against the persistent server
      must be far cheaper than the cold one-shot that pays the compile. *)
   let serve_floor = env_float "DEBUGTUNER_SERVE_FLOOR" 10.0 in
-  let timing_row text name =
-    let needle = Printf.sprintf "{\"name\": %S, \"seconds\":" name in
-    match find_sub text needle 0 with
-    | exception Not_found -> None
-    | i -> number_after text (i + String.length needle)
-  in
+  let timing_row doc name = List.assoc_opt name (named_rows doc "timings" "seconds") in
   let serve_what =
     Printf.sprintf "serve warm p50 at least %.0fx faster than cold one-shot"
       serve_floor

@@ -698,13 +698,14 @@ let print_stats ctx =
   List.iter print_endline (Util.Cliopts.kv_lines (counter_table ctx));
   print_newline ()
 
-(* Hand-rolled JSON: flat structure, only strings / numbers, no
-   dependency. *)
+(* A fixed pretty layout (the format of BENCH_baseline.json, which
+   bench/compare.ml reads), strings escaped by Util.Json. *)
 let write_json file ctx ~synth ~workers =
   let b = Buffer.create 1024 in
   let timing_fields =
     List.rev_map
-      (fun (name, dt) -> Printf.sprintf "    {\"name\": %S, \"seconds\": %.6f}" name dt)
+      (fun (name, dt) ->
+        Printf.sprintf "    {\"name\": \"%s\", \"seconds\": %.6f}" (Util.Json.escape name) dt)
       !timings
   in
   let stat_fields =

@@ -70,28 +70,24 @@ let parse_input_list s =
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 
-let compiler_conv =
+(* Config's name tables, read case-insensitively ("CLANG", "og"). *)
+let compiler_of_cli s = Debugtuner.Config.compiler_of_string (String.lowercase_ascii s)
+
+let level_of_cli s =
+  Debugtuner.Config.level_of_string (String.capitalize_ascii (String.lowercase_ascii s))
+
+let name_conv parse name err =
   Arg.conv
-    ( (fun s ->
-        match String.lowercase_ascii s with
-        | "gcc" -> Ok Debugtuner.Config.Gcc
-        | "clang" -> Ok Debugtuner.Config.Clang
-        | _ -> Error (`Msg "compiler must be gcc or clang")),
-      fun ppf c ->
-        Format.pp_print_string ppf (Debugtuner.Config.compiler_name c) )
+    ( (fun s -> Option.to_result ~none:(`Msg err) (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
+
+let compiler_conv =
+  name_conv compiler_of_cli Debugtuner.Config.compiler_name
+    "compiler must be gcc or clang"
 
 let level_conv =
-  Arg.conv
-    ( (fun s ->
-        match String.uppercase_ascii s with
-        | "O0" -> Ok Debugtuner.Config.O0
-        | "OG" -> Ok Debugtuner.Config.Og
-        | "O1" -> Ok Debugtuner.Config.O1
-        | "O2" -> Ok Debugtuner.Config.O2
-        | "O3" -> Ok Debugtuner.Config.O3
-        | _ -> Error (`Msg "level must be O0, Og, O1, O2 or O3")),
-      fun ppf l -> Format.pp_print_string ppf (Debugtuner.Config.level_name l)
-    )
+  name_conv level_of_cli Debugtuner.Config.level_name
+    "level must be O0, Og, O1, O2 or O3"
 
 let compiler_arg =
   Arg.(
@@ -601,17 +597,9 @@ let profile_cmd =
        accepts both the bare suffix ("2", "g") and the full spelling
        ("O2", "Og"). *)
     let olevel_conv =
-      Arg.conv
-        ( (fun s ->
-            match String.uppercase_ascii s with
-            | "0" | "O0" -> Ok Debugtuner.Config.O0
-            | "G" | "OG" -> Ok Debugtuner.Config.Og
-            | "1" | "O1" -> Ok Debugtuner.Config.O1
-            | "2" | "O2" -> Ok Debugtuner.Config.O2
-            | "3" | "O3" -> Ok Debugtuner.Config.O3
-            | _ -> Error (`Msg "level must be 0, g, 1, 2 or 3")),
-          fun ppf l ->
-            Format.pp_print_string ppf (Debugtuner.Config.level_name l) )
+      name_conv
+        (fun s -> level_of_cli (if String.length s = 1 then "O" ^ s else s))
+        Debugtuner.Config.level_name "level must be 0, g, 1, 2 or 3"
     in
     Arg.(
       value
@@ -972,21 +960,7 @@ let config_spec_conv =
     | Some dash -> (
         let comp = String.sub s 0 dash
         and level = String.sub s (dash + 1) (String.length s - dash - 1) in
-        let compiler =
-          match String.lowercase_ascii comp with
-          | "gcc" -> Some Debugtuner.Config.Gcc
-          | "clang" -> Some Debugtuner.Config.Clang
-          | _ -> None
-        and level =
-          match String.uppercase_ascii level with
-          | "O0" -> Some Debugtuner.Config.O0
-          | "OG" -> Some Debugtuner.Config.Og
-          | "O1" -> Some Debugtuner.Config.O1
-          | "O2" -> Some Debugtuner.Config.O2
-          | "O3" -> Some Debugtuner.Config.O3
-          | _ -> None
-        in
-        match (compiler, level) with
+        match (compiler_of_cli comp, level_of_cli level) with
         | Some c, Some l -> Ok (Debugtuner.Config.make c l)
         | _ ->
             Error

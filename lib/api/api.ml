@@ -247,705 +247,467 @@ end
 (* ------------------------------------------------------------------ *)
 (* JSON codecs                                                         *)
 
-module J = Api_json
+module J = Util.Json
 
 exception Decode_error of string
 
+(** Every wire type is declared once, in the small vocabulary below,
+    and both directions come from that declaration: [enc] writes the
+    canonical document, [dec] reads it back. An object lists its
+    members with [**] in wire order. Decoding looks members up by key,
+    so unknown fields are ignored; an absent member decodes as [null],
+    so [nullable] members may be omitted while any other absent or
+    mistyped member fails with ["missing field"]. *)
 module Codec = struct
+  type 'a t = { enc : 'a -> J.t; dec : J.t -> 'a }
+
   let dfail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
-  let need name = function
-    | Some v -> v
-    | None -> dfail "missing field %S" name
+  (* A value of the wrong JSON type; the enclosing member reports it. *)
+  exception Mistyped
 
-  let get j name = need name (J.field name j)
-  let get_str j name = need name (J.str (get j name))
-  let get_int j name = need name (J.int (get j name))
-  let get_num j name = need name (J.num (get j name))
-  let get_bool j name = need name (J.bool (get j name))
-  let get_arr j name = need name (J.arr (get j name))
+  let scalar enc proj =
+    { enc; dec = (fun j -> match proj j with Some v -> v | None -> raise Mistyped) }
 
-  let opt_str j name =
-    match J.field name j with
-    | None | Some J.Null -> None
-    | Some v -> Some (need name (J.str v))
+  let str = scalar (fun s -> J.Str s) J.str
+  let int = scalar (fun i -> J.Num (float_of_int i)) J.int
+  let float = scalar (fun f -> J.Num f) J.num
+  let bool = scalar (fun b -> J.Bool b) J.bool
 
-  let str_list j name =
-    List.map (fun v -> need name (J.str v)) (get_arr j name)
-
-  let int_list j name =
-    List.map (fun v -> need name (J.int v)) (get_arr j name)
-
-  let check_version j =
-    match J.field "v" j with
-    | Some (J.Num f) when int_of_float f = version -> ()
-    | Some (J.Num f) ->
-        dfail "unsupported api version %d (this build speaks %d)"
-          (int_of_float f) version
-    | _ -> dfail "missing version stamp \"v\""
-
-  (* -- Config.t -- *)
-
-  let config_to_json (c : Config.t) =
-    J.Obj
-      [
-        ("compiler", J.Str (Config.compiler_name c.Config.compiler));
-        ("level", J.Str (Config.level_name c.Config.level));
-        ("disabled", J.Arr (List.map (fun p -> J.Str p) c.Config.disabled));
-      ]
-
-  let compiler_of_string = function
-    | "gcc" -> Config.Gcc
-    | "clang" -> Config.Clang
-    | s -> dfail "unknown compiler %S" s
-
-  let level_of_string = function
-    | "O0" -> Config.O0
-    | "Og" -> Config.Og
-    | "O1" -> Config.O1
-    | "O2" -> Config.O2
-    | "O3" -> Config.O3
-    | s -> dfail "unknown level %S" s
-
-  let config_of_json j =
-    Config.make
-      ~disabled:(str_list j "disabled")
-      (compiler_of_string (get_str j "compiler"))
-      (level_of_string (get_str j "level"))
-
-  (* -- subjects -- *)
-
-  let subject_to_json = function
-    | Request.Named n -> J.Obj [ ("name", J.Str n) ]
-    | Request.Inline { in_name; in_source } ->
-        J.Obj [ ("name", J.Str in_name); ("source", J.Str in_source) ]
-
-  let subject_of_json j =
-    let name = get_str j "name" in
-    match J.field "source" j with
-    | None | Some J.Null -> Request.Named name
-    | Some v ->
-        Request.Inline
-          { in_name = name; in_source = need "source" (J.str v) }
-
-  (* -- views -- *)
-
-  let opt_str_field name = function
-    | None -> (name, J.Null)
-    | Some s -> (name, J.Str s)
-
-  let view_to_json (v : Request.view) =
-    match v with
-    | Request.Summary -> J.Obj [ ("kind", J.Str "summary") ]
-    | Request.Measure -> J.Obj [ ("kind", J.Str "measure") ]
-    | Request.Dump sections ->
-        J.Obj
-          [
-            ("kind", J.Str "dump");
-            ("sections", J.Arr (List.map (fun s -> J.Str s) sections));
-          ]
-    | Request.Verify -> J.Obj [ ("kind", J.Str "verify") ]
-    | Request.Disasm func ->
-        J.Obj [ ("kind", J.Str "disasm"); opt_str_field "func" func ]
-    | Request.Dwarf_size -> J.Obj [ ("kind", J.Str "dwarf-size") ]
-    | Request.Passes -> J.Obj [ ("kind", J.Str "passes") ]
-    | Request.Pass_trace -> J.Obj [ ("kind", J.Str "pass-trace") ]
-    | Request.Trace { t_entry; t_input } ->
-        J.Obj
-          [
-            ("kind", J.Str "trace");
-            opt_str_field "entry" t_entry;
-            ("input", J.Arr (List.map (fun i -> J.Num (float_of_int i)) t_input));
-          ]
-    | Request.Debug { d_entry; d_commands } ->
-        J.Obj
-          [
-            ("kind", J.Str "debug");
-            opt_str_field "entry" d_entry;
-            ("commands", J.Arr (List.map (fun s -> J.Str s) d_commands));
-          ]
-    | Request.Sample { s_entry; s_period } ->
-        J.Obj
-          [
-            ("kind", J.Str "sample");
-            opt_str_field "entry" s_entry;
-            ("period", J.Num (float_of_int s_period));
-          ]
-    | Request.Value_check { v_entry; v_input } ->
-        J.Obj
-          [
-            ("kind", J.Str "value-check");
-            opt_str_field "entry" v_entry;
-            ("input", J.Arr (List.map (fun i -> J.Num (float_of_int i)) v_input));
-          ]
-
-  let view_of_json j : Request.view =
-    match get_str j "kind" with
-    | "summary" -> Request.Summary
-    | "measure" -> Request.Measure
-    | "dump" -> Request.Dump (str_list j "sections")
-    | "verify" -> Request.Verify
-    | "disasm" -> Request.Disasm (opt_str j "func")
-    | "dwarf-size" -> Request.Dwarf_size
-    | "passes" -> Request.Passes
-    | "pass-trace" -> Request.Pass_trace
-    | "trace" ->
-        Request.Trace { t_entry = opt_str j "entry"; t_input = int_list j "input" }
-    | "debug" ->
-        Request.Debug
-          { d_entry = opt_str j "entry"; d_commands = str_list j "commands" }
-    | "sample" ->
-        Request.Sample
-          { s_entry = opt_str j "entry"; s_period = get_int j "period" }
-    | "value-check" ->
-        Request.Value_check
-          { v_entry = opt_str j "entry"; v_input = int_list j "input" }
-    | k -> dfail "unknown view kind %S" k
-
-  (* -- jobs and shard partials -- *)
-
-  let shard_field = function
-    | None -> ("shard", J.Null)
-    | Some (i, n) ->
-        ( "shard",
-          J.Obj
-            [
-              ("index", J.Num (float_of_int i));
-              ("count", J.Num (float_of_int n));
-            ] )
-
-  let shard_of_json j =
-    match J.field "shard" j with
-    | None | Some J.Null -> None
-    | Some s ->
-        let i = get_int s "index" and n = get_int s "count" in
-        if 1 <= i && i <= n then Some (i, n)
-        else dfail "invalid shard %d/%d (need 1 <= index <= count)" i n
-
-  let job_to_json (job : Job.t) =
-    J.Obj
-      [
-        ("tables", J.Arr (List.map (fun s -> J.Str s) job.Job.j_tables));
-        ("seed", J.Num (float_of_int job.Job.j_seed));
-        ("corpus", J.Num (float_of_int job.Job.j_corpus));
-        ("configs", J.Arr (List.map config_to_json job.Job.j_configs));
-        shard_field job.Job.j_shard;
-      ]
-
-  let job_of_json j : Job.t =
+  let list c =
     {
-      Job.j_tables = str_list j "tables";
-      j_seed = get_int j "seed";
-      j_corpus = get_int j "corpus";
-      j_configs = List.map config_of_json (get_arr j "configs");
-      j_shard = shard_of_json j;
+      enc = (fun l -> J.Arr (List.map c.enc l));
+      dec = (function J.Arr l -> List.map c.dec l | _ -> raise Mistyped);
     }
+
+  let nullable c =
+    {
+      enc = (function None -> J.Null | Some v -> c.enc v);
+      dec = (function J.Null -> None | j -> Some (c.dec j));
+    }
+
+  (** A string enumeration; [what] names it in decode errors. *)
+  let enum ~what name parse =
+    {
+      enc = (fun v -> J.Str (name v));
+      dec =
+        (fun j ->
+          let s = str.dec j in
+          match parse s with Some v -> v | None -> dfail "unknown %s %S" what s);
+    }
+
+  let table ~what tbl =
+    enum ~what (fun v -> fst (List.find (fun (_, v') -> v' = v) tbl)) (fun s ->
+        List.assoc_opt s tbl)
+
+  (** [c], refusing decoded values that [check] rejects (by raising). *)
+  let checked c check = { c with dec = (fun j -> let v = c.dec j in check v; v) }
+
+  (* An object's members: [put] prepends the encoded fields, [get]
+     decodes them from the object, first member first. *)
+  type 'a members = {
+    put : 'a -> (string * J.t) list -> (string * J.t) list;
+    get : J.t -> 'a;
+  }
+
+  let mem key c =
+    {
+      put = (fun v rest -> (key, c.enc v) :: rest);
+      get =
+        (fun j ->
+          try c.dec (Option.value ~default:J.Null (J.field key j))
+          with Mistyped -> dfail "missing field %S" key);
+    }
+
+  let ( ** ) a b =
+    {
+      put = (fun (x, y) rest -> a.put x (b.put y rest));
+      get = (fun j -> let x = a.get j in (x, b.get j));
+    }
+
+  let need_obj = function J.Obj _ as j -> j | _ -> raise Mistyped
+
+  (** A record: its members, and the conversions between the record and
+      their right-nested tuple. *)
+  let obj m inj proj =
+    { enc = (fun v -> J.Obj (m.put (proj v) [])); dec = (fun j -> inj (m.get (need_obj j))) }
+
+  let pair m = obj m Fun.id Fun.id
+
+  type 'a case = Case : string * 'b members * ('b -> 'a) * ('a -> 'b option) -> 'a case
+
+  let case tag m inj proj = Case (tag, m, inj, proj)
+
+  let const tag v =
+    let none = { put = (fun () rest -> rest); get = ignore } in
+    case tag none (fun () -> v) (fun x -> if x = v then Some () else None)
+
+  (** A ["kind"]-tagged union: the tag, then the matching case's members. *)
+  let union ~what cases =
+    let kind = mem "kind" str in
+    {
+      enc =
+        (fun v ->
+          Option.get
+            (List.find_map
+               (fun (Case (tag, m, _, proj)) ->
+                 Option.map (fun b -> J.Obj (("kind", J.Str tag) :: m.put b [])) (proj v))
+               cases));
+      dec =
+        (fun j ->
+          let tag = kind.get (need_obj j) in
+          match List.find_opt (fun (Case (t, _, _, _)) -> t = tag) cases with
+          | Some (Case (_, m, inj, _)) -> inj (m.get j)
+          | None -> dfail "unknown %s %S" what tag);
+    }
+
+  (** Top-level documents carry the version stamp first and refuse any
+      other version. *)
+  let stamped c =
+    {
+      enc =
+        (fun v ->
+          match c.enc v with
+          | J.Obj fields -> J.Obj (("v", J.Num (float_of_int version)) :: fields)
+          | j -> j);
+      dec =
+        (fun j ->
+          (match J.field "v" j with
+          | Some (J.Num f) when int_of_float f = version -> ()
+          | Some (J.Num f) ->
+              dfail "unsupported api version %d (this build speaks %d)" (int_of_float f)
+                version
+          | _ -> dfail "missing version stamp \"v\"");
+          c.dec j);
+    }
+
+  (* -- the wire types -- *)
+
+  let config =
+    obj
+      (mem "compiler" (enum ~what:"compiler" Config.compiler_name Config.compiler_of_string)
+      ** mem "level" (enum ~what:"level" Config.level_name Config.level_of_string)
+      ** mem "disabled" (list str))
+      (fun (c, (l, disabled)) -> Config.make ~disabled c l)
+      (fun c -> Config.(c.compiler, (c.level, c.disabled)))
+
+  let strategy = enum ~what:"search strategy" Tuning.strategy_name Tuning.strategy_of_string
+
+  (* A named subject has no "source" member at all. *)
+  let subject =
+    let c = pair (mem "name" str ** mem "source" (nullable str)) in
+    {
+      enc =
+        (function
+        | Request.Named n -> J.Obj [ ("name", J.Str n) ]
+        | Request.Inline { in_name; in_source } -> c.enc (in_name, Some in_source));
+      dec =
+        (fun j ->
+          match c.dec j with
+          | n, None -> Request.Named n
+          | in_name, Some in_source -> Request.Inline { in_name; in_source });
+    }
+
+  let entry = mem "entry" (nullable str)
+  let input = mem "input" (list int)
+
+  let view =
+    Request.(
+      union ~what:"view kind"
+        [
+          const "summary" Summary;
+          const "measure" Measure;
+          case "dump" (mem "sections" (list str))
+            (fun s -> Dump s)
+            (function Dump s -> Some s | _ -> None);
+          const "verify" Verify;
+          case "disasm" (mem "func" (nullable str))
+            (fun f -> Disasm f)
+            (function Disasm f -> Some f | _ -> None);
+          const "dwarf-size" Dwarf_size;
+          const "passes" Passes;
+          const "pass-trace" Pass_trace;
+          case "trace" (entry ** input)
+            (fun (t_entry, t_input) -> Trace { t_entry; t_input })
+            (function Trace { t_entry; t_input } -> Some (t_entry, t_input) | _ -> None);
+          case "debug" (entry ** mem "commands" (list str))
+            (fun (d_entry, d_commands) -> Debug { d_entry; d_commands })
+            (function Debug { d_entry; d_commands } -> Some (d_entry, d_commands) | _ -> None);
+          case "sample" (entry ** mem "period" int)
+            (fun (s_entry, s_period) -> Sample { s_entry; s_period })
+            (function Sample { s_entry; s_period } -> Some (s_entry, s_period) | _ -> None);
+          case "value-check" (entry ** input)
+            (fun (v_entry, v_input) -> Value_check { v_entry; v_input })
+            (function Value_check { v_entry; v_input } -> Some (v_entry, v_input) | _ -> None);
+        ])
+
+  let shard =
+    checked (pair (mem "index" int ** mem "count" int)) (fun (i, n) ->
+        if not (1 <= i && i <= n) then
+          dfail "invalid shard %d/%d (need 1 <= index <= count)" i n)
+
+  let job =
+    obj
+      (mem "tables" (list str) ** mem "seed" int ** mem "corpus" int
+      ** mem "configs" (list config) ** mem "shard" (nullable shard))
+      (fun (j_tables, (j_seed, (j_corpus, (j_configs, j_shard)))) ->
+        { Job.j_tables; j_seed; j_corpus; j_configs; j_shard })
+      (fun j -> Job.(j.j_tables, (j.j_seed, (j.j_corpus, (j.j_configs, j.j_shard)))))
 
   (* Metric fields round-trip exactly: the canonical writer prints
      non-integral floats with %.17g, so a merge of JSON-decoded rows
      renders byte-identically to the single-process run. *)
-  let corpus_row_to_json (r : Experiments.corpus_row) =
-    J.Obj
-      [
-        ("index", J.Num (float_of_int r.Experiments.cr_index));
-        ("program", J.Str r.Experiments.cr_program);
-        ("family", J.Str r.Experiments.cr_family);
-        ("config", J.Str r.Experiments.cr_config);
-        ("avail", J.Num r.Experiments.cr_avail);
-        ("cov", J.Num r.Experiments.cr_cov);
-        ("product", J.Num r.Experiments.cr_product);
-      ]
-
-  let corpus_row_of_json j : Experiments.corpus_row =
-    {
-      Experiments.cr_index = get_int j "index";
-      cr_program = get_str j "program";
-      cr_family = get_str j "family";
-      cr_config = get_str j "config";
-      cr_avail = get_num j "avail";
-      cr_cov = get_num j "cov";
-      cr_product = get_num j "product";
-    }
+  let corpus_row =
+    obj
+      (mem "index" int ** mem "program" str ** mem "family" str ** mem "config" str
+      ** mem "avail" float ** mem "cov" float ** mem "product" float)
+      (fun (cr_index, (cr_program, (cr_family, (cr_config, (cr_avail, (cr_cov, cr_product)))))) ->
+        Experiments.{ cr_index; cr_program; cr_family; cr_config; cr_avail; cr_cov; cr_product })
+      (fun r ->
+        Experiments.(
+          (r.cr_index, (r.cr_program, (r.cr_family, (r.cr_config, (r.cr_avail, (r.cr_cov,
+            r.cr_product))))))))
 
   (* The partial carries its own version stamp: the same document is a
      standalone file in --partial-dir, so it must self-describe like
      any top-level request/response. *)
-  let partial_to_json (p : Partial.t) =
-    J.Obj
-      [
-        ("v", J.Num (float_of_int version));
-        ("shard", J.Num (float_of_int p.Partial.pt_shard));
-        ("shards", J.Num (float_of_int p.Partial.pt_shards));
-        ("seed", J.Num (float_of_int p.Partial.pt_seed));
-        ("corpus", J.Num (float_of_int p.Partial.pt_corpus));
-        ("digest", J.Str p.Partial.pt_digest);
-        ("configs", J.Arr (List.map (fun s -> J.Str s) p.Partial.pt_configs));
-        ("programs", J.Num (float_of_int p.Partial.pt_programs));
-        ("rows", J.Arr (List.map corpus_row_to_json p.Partial.pt_rows));
-      ]
+  let partial =
+    stamped
+      (checked
+         (obj
+            (mem "shard" int ** mem "shards" int ** mem "seed" int ** mem "corpus" int
+            ** mem "digest" str ** mem "configs" (list str) ** mem "programs" int
+            ** mem "rows" (list corpus_row))
+            (fun (pt_shard, (pt_shards, (pt_seed, (pt_corpus, (pt_digest, (pt_configs,
+                 (pt_programs, pt_rows)))))))  ->
+              Partial.{ pt_shard; pt_shards; pt_seed; pt_corpus; pt_digest; pt_configs;
+                        pt_programs; pt_rows })
+            (fun p ->
+              Partial.(p.pt_shard, (p.pt_shards, (p.pt_seed, (p.pt_corpus, (p.pt_digest,
+                (p.pt_configs, (p.pt_programs, p.pt_rows)))))))))
+         (fun p ->
+           if not (1 <= p.pt_shard && p.pt_shard <= p.pt_shards) then
+             dfail "invalid partial shard %d/%d (need 1 <= shard <= shards)" p.pt_shard
+               p.pt_shards))
 
-  let partial_of_json j : Partial.t =
-    check_version j;
-    let p =
+  let request =
+    Request.(
+      stamped
+        (union ~what:"request kind"
+           [
+             case "compile"
+               (mem "subject" subject ** mem "config" config ** mem "profile" (nullable str)
+               ** mem "sanitize" bool ** mem "view" view)
+               (fun (c_subject, (c_config, (c_profile, (c_sanitize, c_view)))) ->
+                 Compile { c_subject; c_config; c_profile; c_sanitize; c_view })
+               (function
+                 | Compile { c_subject; c_config; c_profile; c_sanitize; c_view } ->
+                     Some (c_subject, (c_config, (c_profile, (c_sanitize, c_view))))
+                 | _ -> None);
+             case "rank" (mem "config" config ** mem "k" int)
+               (fun (r_config, r_k) -> Rank { r_config; r_k })
+               (function Rank { r_config; r_k } -> Some (r_config, r_k) | _ -> None);
+             case "tune" (mem "config" config ** mem "y" int)
+               (fun (t_config, t_y) -> Tune { t_config; t_y })
+               (function Tune { t_config; t_y } -> Some (t_config, t_y) | _ -> None);
+             case "search"
+               (mem "config" config ** mem "strategy" strategy ** mem "budget" int
+               ** mem "seed" int ** mem "debug_weight" float ** mem "speed_weight" float)
+               (fun (se_config, (se_strategy, (se_budget, (se_seed, (se_debug_weight,
+                    se_speed_weight))))) ->
+                 Search
+                   { se_config; se_strategy; se_budget; se_seed; se_debug_weight;
+                     se_speed_weight })
+               (function
+                 | Search
+                     { se_config; se_strategy; se_budget; se_seed; se_debug_weight;
+                       se_speed_weight } ->
+                     Some (se_config, (se_strategy, (se_budget, (se_seed, (se_debug_weight,
+                       se_speed_weight)))))
+                 | _ -> None);
+             case "check"
+               (mem "subject" (nullable subject) ** mem "fuzz" int ** mem "seed" int
+               ** mem "suite" bool)
+               (fun (k_subject, (k_fuzz, (k_seed, k_suite))) ->
+                 Check { k_subject; k_fuzz; k_seed; k_suite })
+               (function
+                 | Check { k_subject; k_fuzz; k_seed; k_suite } ->
+                     Some (k_subject, (k_fuzz, (k_seed, k_suite)))
+                 | _ -> None);
+             case "profile"
+               (mem "subject" subject ** mem "config" config ** mem "sanitize" bool
+               ** mem "stats" bool ** mem "trace" bool)
+               (fun (p_subject, (p_config, (p_sanitize, (p_stats, p_trace)))) ->
+                 Profile { p_subject; p_config; p_sanitize; p_stats; p_trace })
+               (function
+                 | Profile { p_subject; p_config; p_sanitize; p_stats; p_trace } ->
+                     Some (p_subject, (p_config, (p_sanitize, (p_stats, p_trace))))
+                 | _ -> None);
+             case "bench"
+               (mem "subject" subject ** mem "config" config
+               ** mem "action"
+                    (union ~what:"bench action"
+                       [
+                         const "cost" Cost;
+                         case "exec" (mem "entry" str ** input)
+                           (fun (x_entry, x_input) -> Exec { x_entry; x_input })
+                           (function
+                             | Exec { x_entry; x_input } -> Some (x_entry, x_input)
+                             | Cost -> None);
+                       ]))
+               (fun (b_subject, (b_config, b_action)) -> Bench { b_subject; b_config; b_action })
+               (function
+                 | Bench { b_subject; b_config; b_action } -> Some (b_subject, (b_config, b_action))
+                 | _ -> None);
+             case "cache"
+               (mem "op"
+                  (table ~what:"cache op"
+                     [ ("stats", Op_stats); ("clear", Op_clear); ("gc", Op_gc) ])
+               ** mem "dir" (nullable str))
+               (fun (o_action, o_dir) -> Cache_op { o_action; o_dir })
+               (function Cache_op { o_action; o_dir } -> Some (o_action, o_dir) | _ -> None);
+             case "stats"
+               (mem "what"
+                  (table ~what:"stats selector"
+                     [ ("counters", Counters); ("suite", Suite); ("server", Server) ]))
+               (fun s_what -> Stats { s_what })
+               (function Stats { s_what } -> Some s_what | _ -> None);
+             case "experiments" (mem "job" job)
+               (fun e_job -> Experiments { e_job })
+               (function Experiments { e_job } -> Some e_job | _ -> None);
+             case "merge" (mem "partials" (list partial))
+               (fun m_partials -> Merge { m_partials })
+               (function Merge { m_partials } -> Some m_partials | _ -> None);
+           ]))
+
+  let stats = list (pair (mem "name" str ** mem "value" int))
+
+  let rows3 (k1, c1) (k2, c2) (k3, c3) =
+    list
+      (obj (mem k1 c1 ** mem k2 c2 ** mem k3 c3)
+         (fun (a, (b, c)) -> (a, b, c))
+         (fun (a, b, c) -> (a, (b, c))))
+
+  let data =
+    Response.(
+      union ~what:"data kind"
+        [
+          const "none" D_none;
+          case "compiled"
+            (mem "program" str ** mem "config" str ** mem "instrs" int ** mem "funcs" int
+            ** mem "text_digest" str)
+            (fun (dc_program, (dc_config, (dc_instrs, (dc_funcs, dc_text_digest)))) ->
+              D_compiled { dc_program; dc_config; dc_instrs; dc_funcs; dc_text_digest })
+            (function
+              | D_compiled { dc_program; dc_config; dc_instrs; dc_funcs; dc_text_digest } ->
+                  Some (dc_program, (dc_config, (dc_instrs, (dc_funcs, dc_text_digest))))
+              | _ -> None);
+          case "ranked"
+            (mem "config" str ** mem "top" (rows3 ("pass", str) ("pct", float) ("rank", float)))
+            (fun (dr_config, dr_top) -> D_ranked { dr_config; dr_top })
+            (function D_ranked { dr_config; dr_top } -> Some (dr_config, dr_top) | _ -> None);
+          case "tuned"
+            (mem "config" str ** mem "disabled" (list str) ** mem "debug" float
+            ** mem "speedup" float)
+            (fun (dt_config, (dt_disabled, (dt_debug, dt_speedup))) ->
+              D_tuned { dt_config; dt_disabled; dt_debug; dt_speedup })
+            (function
+              | D_tuned { dt_config; dt_disabled; dt_debug; dt_speedup } ->
+                  Some (dt_config, (dt_disabled, (dt_debug, dt_speedup)))
+              | _ -> None);
+          case "frontier"
+            (mem "config" str ** mem "strategy" str ** mem "seed" int ** mem "budget" int
+            ** mem "evaluated" int ** mem "dominated" int
+            ** mem "front" (rows3 ("name", str) ("debug", float) ("speedup", float)))
+            (fun (df_config, (df_strategy, (df_seed, (df_budget, (df_evaluated, (df_dominated,
+                 df_front)))))) ->
+              D_frontier
+                { df_config; df_strategy; df_seed; df_budget; df_evaluated; df_dominated;
+                  df_front })
+            (function
+              | D_frontier
+                  { df_config; df_strategy; df_seed; df_budget; df_evaluated; df_dominated;
+                    df_front } ->
+                  Some (df_config, (df_strategy, (df_seed, (df_budget, (df_evaluated,
+                    (df_dominated, df_front))))))
+              | _ -> None);
+          case "checked"
+            (mem "programs" int ** mem "configs" int ** mem "runs" int ** mem "skipped" int
+            ** mem "failures" int)
+            (fun (dk_programs, (dk_configs, (dk_runs, (dk_skipped, dk_failures)))) ->
+              D_checked { dk_programs; dk_configs; dk_runs; dk_skipped; dk_failures })
+            (function
+              | D_checked { dk_programs; dk_configs; dk_runs; dk_skipped; dk_failures } ->
+                  Some (dk_programs, (dk_configs, (dk_runs, (dk_skipped, dk_failures))))
+              | _ -> None);
+          case "cost" (mem "cost" int) (fun c -> D_cost c) (function
+            | D_cost c -> Some c | _ -> None);
+          case "counters" (mem "rows" stats) (fun rows -> D_counters rows) (function
+            | D_counters rows -> Some rows | _ -> None);
+          case "partial" (mem "partial" partial) (fun p -> D_partial p) (function
+            | D_partial p -> Some p | _ -> None);
+        ])
+
+  let status =
+    let error = mem "error" str in
+    Response.
       {
-        Partial.pt_shard = get_int j "shard";
-        pt_shards = get_int j "shards";
-        pt_seed = get_int j "seed";
-        pt_corpus = get_int j "corpus";
-        pt_digest = get_str j "digest";
-        pt_configs = str_list j "configs";
-        pt_programs = get_int j "programs";
-        pt_rows = List.map corpus_row_of_json (get_arr j "rows");
+        enc =
+          (function
+          | Ok -> J.Str "ok"
+          | Overloaded -> J.Str "overloaded"
+          | Error msg -> J.Obj (error.put msg []));
+        dec =
+          (function
+          | J.Str "ok" -> Ok
+          | J.Str "overloaded" -> Overloaded
+          | J.Obj _ as o -> Error (error.get o)
+          | J.Null -> raise Mistyped
+          | _ -> dfail "bad status");
       }
+
+  let response =
+    stamped
+      (obj
+         (mem "status" status ** mem "exit" int ** mem "text" str
+         ** mem "artifact" (nullable str) ** mem "data" data ** mem "stats" stats)
+         (fun (status, (exit_code, (text, (artifact, (data, stats))))) ->
+           { Response.status; exit_code; text; artifact; data; stats })
+         (fun r -> Response.(r.status, (r.exit_code, (r.text, (r.artifact, (r.data, r.stats)))))))
+
+  (* The search frontier artifact; see {!frontier_json}. *)
+  let frontier =
+    let point =
+      obj
+        (mem "name" str ** mem "config" config ** mem "debug" float ** mem "speedup" float)
+        (fun (_, (fp_config, (fp_debug, fp_speedup))) -> Tuning.{ fp_config; fp_debug; fp_speedup })
+        (fun f -> Tuning.(Config.name f.fp_config, (f.fp_config, (f.fp_debug, f.fp_speedup))))
     in
-    if not (1 <= p.Partial.pt_shard && p.Partial.pt_shard <= p.Partial.pt_shards)
-    then
-      dfail "invalid partial shard %d/%d (need 1 <= shard <= shards)"
-        p.Partial.pt_shard p.Partial.pt_shards;
-    p
-
-  (* -- requests -- *)
-
-  let request_to_json (r : Request.t) =
-    let v = ("v", J.Num (float_of_int version)) in
-    match r with
-    | Request.Compile { c_subject; c_config; c_profile; c_sanitize; c_view } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "compile");
-            ("subject", subject_to_json c_subject);
-            ("config", config_to_json c_config);
-            opt_str_field "profile" c_profile;
-            ("sanitize", J.Bool c_sanitize);
-            ("view", view_to_json c_view);
-          ]
-    | Request.Rank { r_config; r_k } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "rank");
-            ("config", config_to_json r_config);
-            ("k", J.Num (float_of_int r_k));
-          ]
-    | Request.Tune { t_config; t_y } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "tune");
-            ("config", config_to_json t_config);
-            ("y", J.Num (float_of_int t_y));
-          ]
-    | Request.Search
-        {
-          se_config;
-          se_strategy;
-          se_budget;
-          se_seed;
-          se_debug_weight;
-          se_speed_weight;
-        } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "search");
-            ("config", config_to_json se_config);
-            ("strategy", J.Str (Tuning.strategy_name se_strategy));
-            ("budget", J.Num (float_of_int se_budget));
-            ("seed", J.Num (float_of_int se_seed));
-            ("debug_weight", J.Num se_debug_weight);
-            ("speed_weight", J.Num se_speed_weight);
-          ]
-    | Request.Check { k_subject; k_fuzz; k_seed; k_suite } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "check");
-            ( "subject",
-              match k_subject with
-              | None -> J.Null
-              | Some s -> subject_to_json s );
-            ("fuzz", J.Num (float_of_int k_fuzz));
-            ("seed", J.Num (float_of_int k_seed));
-            ("suite", J.Bool k_suite);
-          ]
-    | Request.Profile { p_subject; p_config; p_sanitize; p_stats; p_trace } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "profile");
-            ("subject", subject_to_json p_subject);
-            ("config", config_to_json p_config);
-            ("sanitize", J.Bool p_sanitize);
-            ("stats", J.Bool p_stats);
-            ("trace", J.Bool p_trace);
-          ]
-    | Request.Bench { b_subject; b_config; b_action } ->
-        let action =
-          match b_action with
-          | Request.Cost -> J.Obj [ ("kind", J.Str "cost") ]
-          | Request.Exec { x_entry; x_input } ->
-              J.Obj
-                [
-                  ("kind", J.Str "exec");
-                  ("entry", J.Str x_entry);
-                  ( "input",
-                    J.Arr (List.map (fun i -> J.Num (float_of_int i)) x_input)
-                  );
-                ]
-        in
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "bench");
-            ("subject", subject_to_json b_subject);
-            ("config", config_to_json b_config);
-            ("action", action);
-          ]
-    | Request.Cache_op { o_action; o_dir } ->
-        let op =
-          match o_action with
-          | Request.Op_stats -> "stats"
-          | Request.Op_clear -> "clear"
-          | Request.Op_gc -> "gc"
-        in
-        J.Obj
-          [ v; ("kind", J.Str "cache"); ("op", J.Str op); opt_str_field "dir" o_dir ]
-    | Request.Stats { s_what } ->
-        let what =
-          match s_what with
-          | Request.Counters -> "counters"
-          | Request.Suite -> "suite"
-          | Request.Server -> "server"
-        in
-        J.Obj [ v; ("kind", J.Str "stats"); ("what", J.Str what) ]
-    | Request.Experiments { e_job } ->
-        J.Obj [ v; ("kind", J.Str "experiments"); ("job", job_to_json e_job) ]
-    | Request.Merge { m_partials } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "merge");
-            ("partials", J.Arr (List.map partial_to_json m_partials));
-          ]
-
-  let request_of_json j : Request.t =
-    check_version j;
-    match get_str j "kind" with
-    | "compile" ->
-        Request.Compile
-          {
-            c_subject = subject_of_json (get j "subject");
-            c_config = config_of_json (get j "config");
-            c_profile = opt_str j "profile";
-            c_sanitize = get_bool j "sanitize";
-            c_view = view_of_json (get j "view");
-          }
-    | "rank" ->
-        Request.Rank
-          { r_config = config_of_json (get j "config"); r_k = get_int j "k" }
-    | "tune" ->
-        Request.Tune
-          { t_config = config_of_json (get j "config"); t_y = get_int j "y" }
-    | "search" ->
-        let s = get_str j "strategy" in
-        Request.Search
-          {
-            se_config = config_of_json (get j "config");
-            se_strategy =
-              (match Tuning.strategy_of_string s with
-              | Some st -> st
-              | None -> dfail "unknown search strategy %S" s);
-            se_budget = get_int j "budget";
-            se_seed = get_int j "seed";
-            se_debug_weight = get_num j "debug_weight";
-            se_speed_weight = get_num j "speed_weight";
-          }
-    | "check" ->
-        Request.Check
-          {
-            k_subject =
-              (match J.field "subject" j with
-              | None | Some J.Null -> None
-              | Some s -> Some (subject_of_json s));
-            k_fuzz = get_int j "fuzz";
-            k_seed = get_int j "seed";
-            k_suite = get_bool j "suite";
-          }
-    | "profile" ->
-        Request.Profile
-          {
-            p_subject = subject_of_json (get j "subject");
-            p_config = config_of_json (get j "config");
-            p_sanitize = get_bool j "sanitize";
-            p_stats = get_bool j "stats";
-            p_trace = get_bool j "trace";
-          }
-    | "bench" ->
-        let action = get j "action" in
-        Request.Bench
-          {
-            b_subject = subject_of_json (get j "subject");
-            b_config = config_of_json (get j "config");
-            b_action =
-              (match get_str action "kind" with
-              | "cost" -> Request.Cost
-              | "exec" ->
-                  Request.Exec
-                    {
-                      x_entry = get_str action "entry";
-                      x_input = int_list action "input";
-                    }
-              | k -> dfail "unknown bench action %S" k);
-          }
-    | "cache" ->
-        Request.Cache_op
-          {
-            o_action =
-              (match get_str j "op" with
-              | "stats" -> Request.Op_stats
-              | "clear" -> Request.Op_clear
-              | "gc" -> Request.Op_gc
-              | o -> dfail "unknown cache op %S" o);
-            o_dir = opt_str j "dir";
-          }
-    | "stats" ->
-        Request.Stats
-          {
-            s_what =
-              (match get_str j "what" with
-              | "counters" -> Request.Counters
-              | "suite" -> Request.Suite
-              | "server" -> Request.Server
-              | w -> dfail "unknown stats selector %S" w);
-          }
-    | "experiments" ->
-        Request.Experiments { e_job = job_of_json (get j "job") }
-    | "merge" ->
-        Request.Merge
-          { m_partials = List.map partial_of_json (get_arr j "partials") }
-    | k -> dfail "unknown request kind %S" k
-
-  (* -- responses -- *)
-
-  let stats_to_json rows =
-    J.Arr
-      (List.map
-         (fun (n, v) ->
-           J.Obj [ ("name", J.Str n); ("value", J.Num (float_of_int v)) ])
-         rows)
-
-  let stats_of_json j name =
-    List.map
-      (fun row -> (get_str row "name", get_int row "value"))
-      (get_arr j name)
-
-  let data_to_json (d : Response.data) =
-    match d with
-    | Response.D_none -> J.Obj [ ("kind", J.Str "none") ]
-    | Response.D_compiled
-        { dc_program; dc_config; dc_instrs; dc_funcs; dc_text_digest } ->
-        J.Obj
-          [
-            ("kind", J.Str "compiled");
-            ("program", J.Str dc_program);
-            ("config", J.Str dc_config);
-            ("instrs", J.Num (float_of_int dc_instrs));
-            ("funcs", J.Num (float_of_int dc_funcs));
-            ("text_digest", J.Str dc_text_digest);
-          ]
-    | Response.D_ranked { dr_config; dr_top } ->
-        J.Obj
-          [
-            ("kind", J.Str "ranked");
-            ("config", J.Str dr_config);
-            ( "top",
-              J.Arr
-                (List.map
-                   (fun (pass, pct, rank) ->
-                     J.Obj
-                       [
-                         ("pass", J.Str pass);
-                         ("pct", J.Num pct);
-                         ("rank", J.Num rank);
-                       ])
-                   dr_top) );
-          ]
-    | Response.D_tuned { dt_config; dt_disabled; dt_debug; dt_speedup } ->
-        J.Obj
-          [
-            ("kind", J.Str "tuned");
-            ("config", J.Str dt_config);
-            ("disabled", J.Arr (List.map (fun s -> J.Str s) dt_disabled));
-            ("debug", J.Num dt_debug);
-            ("speedup", J.Num dt_speedup);
-          ]
-    | Response.D_frontier
-        {
-          df_config;
-          df_strategy;
-          df_seed;
-          df_budget;
-          df_evaluated;
-          df_dominated;
-          df_front;
-        } ->
-        J.Obj
-          [
-            ("kind", J.Str "frontier");
-            ("config", J.Str df_config);
-            ("strategy", J.Str df_strategy);
-            ("seed", J.Num (float_of_int df_seed));
-            ("budget", J.Num (float_of_int df_budget));
-            ("evaluated", J.Num (float_of_int df_evaluated));
-            ("dominated", J.Num (float_of_int df_dominated));
-            ( "front",
-              J.Arr
-                (List.map
-                   (fun (name, debug, speedup) ->
-                     J.Obj
-                       [
-                         ("name", J.Str name);
-                         ("debug", J.Num debug);
-                         ("speedup", J.Num speedup);
-                       ])
-                   df_front) );
-          ]
-    | Response.D_checked { dk_programs; dk_configs; dk_runs; dk_skipped; dk_failures }
-      ->
-        J.Obj
-          [
-            ("kind", J.Str "checked");
-            ("programs", J.Num (float_of_int dk_programs));
-            ("configs", J.Num (float_of_int dk_configs));
-            ("runs", J.Num (float_of_int dk_runs));
-            ("skipped", J.Num (float_of_int dk_skipped));
-            ("failures", J.Num (float_of_int dk_failures));
-          ]
-    | Response.D_cost c ->
-        J.Obj [ ("kind", J.Str "cost"); ("cost", J.Num (float_of_int c)) ]
-    | Response.D_counters rows ->
-        J.Obj [ ("kind", J.Str "counters"); ("rows", stats_to_json rows) ]
-    | Response.D_partial p ->
-        J.Obj [ ("kind", J.Str "partial"); ("partial", partial_to_json p) ]
-
-  let data_of_json j : Response.data =
-    match get_str j "kind" with
-    | "none" -> Response.D_none
-    | "compiled" ->
-        Response.D_compiled
-          {
-            dc_program = get_str j "program";
-            dc_config = get_str j "config";
-            dc_instrs = get_int j "instrs";
-            dc_funcs = get_int j "funcs";
-            dc_text_digest = get_str j "text_digest";
-          }
-    | "ranked" ->
-        Response.D_ranked
-          {
-            dr_config = get_str j "config";
-            dr_top =
-              List.map
-                (fun row ->
-                  (get_str row "pass", get_num row "pct", get_num row "rank"))
-                (get_arr j "top");
-          }
-    | "tuned" ->
-        Response.D_tuned
-          {
-            dt_config = get_str j "config";
-            dt_disabled = str_list j "disabled";
-            dt_debug = get_num j "debug";
-            dt_speedup = get_num j "speedup";
-          }
-    | "frontier" ->
-        Response.D_frontier
-          {
-            df_config = get_str j "config";
-            df_strategy = get_str j "strategy";
-            df_seed = get_int j "seed";
-            df_budget = get_int j "budget";
-            df_evaluated = get_int j "evaluated";
-            df_dominated = get_int j "dominated";
-            df_front =
-              List.map
-                (fun row ->
-                  ( get_str row "name",
-                    get_num row "debug",
-                    get_num row "speedup" ))
-                (get_arr j "front");
-          }
-    | "checked" ->
-        Response.D_checked
-          {
-            dk_programs = get_int j "programs";
-            dk_configs = get_int j "configs";
-            dk_runs = get_int j "runs";
-            dk_skipped = get_int j "skipped";
-            dk_failures = get_int j "failures";
-          }
-    | "cost" -> Response.D_cost (get_int j "cost")
-    | "counters" -> Response.D_counters (stats_of_json j "rows")
-    | "partial" -> Response.D_partial (partial_of_json (get j "partial"))
-    | k -> dfail "unknown data kind %S" k
-
-  let response_to_json (r : Response.t) =
-    let status =
-      match r.Response.status with
-      | Response.Ok -> J.Str "ok"
-      | Response.Overloaded -> J.Str "overloaded"
-      | Response.Error msg -> J.Obj [ ("error", J.Str msg) ]
-    in
-    J.Obj
-      [
-        ("v", J.Num (float_of_int version));
-        ("status", status);
-        ("exit", J.Num (float_of_int r.Response.exit_code));
-        ("text", J.Str r.Response.text);
-        ( "artifact",
-          match r.Response.artifact with None -> J.Null | Some s -> J.Str s );
-        ("data", data_to_json r.Response.data);
-        ("stats", stats_to_json r.Response.stats);
-      ]
-
-  let response_of_json j : Response.t =
-    check_version j;
-    let status =
-      match get j "status" with
-      | J.Str "ok" -> Response.Ok
-      | J.Str "overloaded" -> Response.Overloaded
-      | J.Obj _ as o -> Response.Error (get_str o "error")
-      | _ -> dfail "bad status"
-    in
-    {
-      Response.status;
-      exit_code = get_int j "exit";
-      text = get_str j "text";
-      artifact =
-        (match J.field "artifact" j with
-        | None | Some J.Null -> None
-        | Some v -> Some (need "artifact" (J.str v)));
-      data = data_of_json (get j "data");
-      stats = stats_of_json j "stats";
-    }
+    stamped
+      (union ~what:"artifact kind"
+         [
+           case "frontier"
+             (mem "base" str ** mem "strategy" strategy ** mem "seed" int ** mem "budget" int
+             ** mem "evaluated" int ** mem "dominated" int ** mem "frontier" (list point))
+             Fun.id Option.some;
+         ])
 end
 
-let decode f text =
-  match f (J.parse text) with
+let decode (c : _ Codec.t) text =
+  match c.dec (J.parse text) with
   | v -> Ok v
   | exception Decode_error msg -> Error msg
   | exception J.Parse_error msg -> Error ("malformed JSON: " ^ msg)
 
-let request_to_json r = J.to_string (Codec.request_to_json r)
-let request_of_json text = decode Codec.request_of_json text
-let response_to_json r = J.to_string (Codec.response_to_json r)
-let response_of_json text = decode Codec.response_of_json text
+let request_to_json r = J.to_string (Codec.request.enc r)
+let request_of_json text = decode Codec.request text
+let response_to_json r = J.to_string (Codec.response.enc r)
+let response_of_json text = decode Codec.response text
 
-let partial_to_json p = J.to_string (Codec.partial_to_json p)
+let partial_to_json p = J.to_string (Codec.partial.enc p)
 (** The canonical shard-partial file format ([--partial-dir]). *)
 
-let partial_of_json text = decode Codec.partial_of_json text
+let partial_of_json text = decode Codec.partial text
 
 (* ------------------------------------------------------------------ *)
 (* Execution context                                                   *)
@@ -1334,37 +1096,17 @@ let run_tune ctx ~config ~y =
 (* -- search -- *)
 
 (** The frontier artifact: a standalone, self-stamped canonical JSON
-    document (every float through {!Api_json}'s [%.17g] writer), so the
+    document (every float through {!Util.Json}'s [%.17g] writer), so the
     CI determinism leg can byte-diff it across runs and [--jobs]
     settings. *)
 let frontier_json ~config (r : Tuning.search_result) =
+  (* no [resumed] here: the artifact is a pure function of (strategy,
+     seed, budget, suite) — byte-identical whether the evaluations ran
+     cold or came back from the store *)
   J.to_string
-    (J.Obj
-       [
-         ("v", J.Num (float_of_int version));
-         ("kind", J.Str "frontier");
-         ("base", J.Str (Config.name config));
-         ("strategy", J.Str (Tuning.strategy_name r.Tuning.sr_strategy));
-         ("seed", J.Num (float_of_int r.Tuning.sr_seed));
-         ("budget", J.Num (float_of_int r.Tuning.sr_budget));
-         (* no [resumed] here: the artifact is a pure function of
-            (strategy, seed, budget, suite) — byte-identical whether the
-            evaluations ran cold or came back from the store *)
-         ("evaluated", J.Num (float_of_int r.Tuning.sr_evaluated));
-         ("dominated", J.Num (float_of_int r.Tuning.sr_dominated));
-         ( "frontier",
-           J.Arr
-             (List.map
-                (fun (f : Tuning.frontier_point) ->
-                  J.Obj
-                    [
-                      ("name", J.Str (Config.name f.Tuning.fp_config));
-                      ("config", Codec.config_to_json f.Tuning.fp_config);
-                      ("debug", J.Num f.Tuning.fp_debug);
-                      ("speedup", J.Num f.Tuning.fp_speedup);
-                    ])
-                r.Tuning.sr_frontier) );
-       ])
+    (Codec.frontier.enc
+       Tuning.(Config.name config, (r.sr_strategy, (r.sr_seed, (r.sr_budget,
+         (r.sr_evaluated, (r.sr_dominated, r.sr_frontier)))))))
 
 let run_search ctx ~config ~strategy ~budget ~seed ~debug_weight ~speed_weight =
   let b = Buffer.create 1024 in

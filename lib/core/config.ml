@@ -23,6 +23,19 @@ let level_name = function
   | O2 -> "O2"
   | O3 -> "O3"
 
+let compiler_of_string = function
+  | "gcc" -> Some Gcc
+  | "clang" -> Some Clang
+  | _ -> None
+
+let level_of_string = function
+  | "O0" -> Some O0
+  | "Og" -> Some Og
+  | "O1" -> Some O1
+  | "O2" -> Some O2
+  | "O3" -> Some O3
+  | _ -> None
+
 (** Canonical form: [disabled] sorted and deduplicated. Two values that
     agree up to order and duplication of [disabled] denote the same
     semantic configuration ({!enabled} is a set-membership test), so

@@ -18,6 +18,12 @@ val compiler_name : compiler -> string
 
 val level_name : level -> string
 
+val compiler_of_string : string -> compiler option
+(** The inverse of {!compiler_name}: exact spellings only. *)
+
+val level_of_string : string -> level option
+(** The inverse of {!level_name}: exact spellings only. *)
+
 val name : t -> string
 (** E.g. ["gcc-O2"] or ["clang-O1-d5"]. Computed on the {!canonical}
     form, so permuted or duplicated [disabled] lists print the same

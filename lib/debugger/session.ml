@@ -72,42 +72,6 @@ let create (bin : Emit.binary) ~entry =
   }
 
 (* ------------------------------------------------------------------ *)
-(* VM state construction (mirrors Vm.run's prologue)                   *)
-
-let fresh_state (s : t) ~input : Vm.state =
-  let globals = Hashtbl.create 16 in
-  List.iter
-    (fun (g : Ir.global_def) ->
-      Hashtbl.replace globals g.Ir.g_name (Array.make g.Ir.g_size g.Ir.g_init))
-    s.bin.Emit.bin_globals;
-  let st =
-    {
-      Vm.bin = s.bin;
-      pregs = Array.make (Mach.num_regs + 1) 0;
-      frames = [];
-      globals;
-      input = Array.of_list input;
-      input_pos = 0;
-      out_rev = [];
-      cost = 0;
-      icount = 0;
-      pc = 0;
-      last_writes = [];
-      last_was_load = false;
-      edges = Hashtbl.create 16;
-      bp_hits_rev = [];
-      halted = false;
-    }
-  in
-  let fi =
-    match Hashtbl.find_opt s.bin.Emit.fn_by_name s.entry with
-    | Some idx -> s.bin.Emit.funcs.(idx)
-    | None -> raise (Vm.Runtime_error ("no entry function " ^ s.entry))
-  in
-  Vm.enter_function st fi [] ~ret_pc:(-1) ~ret_dst:None;
-  st
-
-(* ------------------------------------------------------------------ *)
 (* Inspection helpers                                                  *)
 
 let cur_line (s : t) (st : Vm.state) =
@@ -432,7 +396,7 @@ let cmd_delete (s : t) line =
   else [ Printf.sprintf "no breakpoint at line %d" line ]
 
 let cmd_run (s : t) input =
-  let st = fresh_state s ~input in
+  let st = Vm.start s.bin ~entry:s.entry ~args:[] ~input in
   s.st <- Some st;
   s.running <- true;
   List.iter

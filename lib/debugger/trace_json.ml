@@ -2,8 +2,8 @@
 
     The paper's prototype "export[s] the debug trace for the session as
     a JSON file to ease offline trace comparisons" (Section III-C); this
-    module provides the same facility. The schema is fixed and small, so
-    the (de)serializer is self-contained:
+    module provides the same facility. The writer prints this fixed,
+    diff-friendly layout; the reader goes through {!Util.Json}:
 
     {v
     { "steppable": [l, ...],
@@ -11,19 +11,7 @@
       "stepped":   [ { "line": l, "vars": ["origin:name", ...] }, ... ] }
     v} *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+exception Parse_error = Util.Json.Parse_error
 
 (** [to_string trace] renders the trace as a JSON document. Lines are
     sorted; variables per line are sorted; output is canonical, so equal
@@ -49,7 +37,7 @@ let to_string (t : Debugger.trace) =
       let names =
         Debugger.Var_set.elements vars
         |> List.map (fun (v : Ir.var_id) ->
-               Printf.sprintf "\"%s\"" (escape (Ir.var_to_string v)))
+               Printf.sprintf "\"%s\"" (Util.Json.escape (Ir.var_to_string v)))
       in
       Buffer.add_string buf (String.concat ", " names);
       Buffer.add_string buf "] }")
@@ -57,88 +45,16 @@ let to_string (t : Debugger.trace) =
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
-(* ------------------------------------------------------------------ *)
-(* Parsing (schema-specific recursive descent)                          *)
-
-exception Parse_error of string
-
-type tok = Lbrace | Rbrace | Lbrack | Rbrack | Colon | Comma | Str of string | Num of int
-
-let tokenize s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
-    | '{' -> toks := Lbrace :: !toks; incr i
-    | '}' -> toks := Rbrace :: !toks; incr i
-    | '[' -> toks := Lbrack :: !toks; incr i
-    | ']' -> toks := Rbrack :: !toks; incr i
-    | ':' -> toks := Colon :: !toks; incr i
-    | ',' -> toks := Comma :: !toks; incr i
-    | '"' ->
-        let buf = Buffer.create 16 in
-        incr i;
-        let fin = ref false in
-        while not !fin do
-          if !i >= n then raise (Parse_error "unterminated string");
-          (match s.[!i] with
-          | '"' -> fin := true
-          | '\\' ->
-              incr i;
-              if !i >= n then raise (Parse_error "bad escape");
-              (match s.[!i] with
-              | 'n' -> Buffer.add_char buf '\n'
-              | c -> Buffer.add_char buf c)
-          | c -> Buffer.add_char buf c);
-          incr i
-        done;
-        toks := Str (Buffer.contents buf) :: !toks
-    | ('-' | '0' .. '9') ->
-        let j = ref !i in
-        if s.[!j] = '-' then incr j;
-        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-          incr j
-        done;
-        toks := Num (int_of_string (String.sub s !i (!j - !i))) :: !toks;
-        i := !j
-    | c -> raise (Parse_error (Printf.sprintf "unexpected %C" c)));
-  done;
-  List.rev !toks
-
-(** [of_string s] parses a document produced by {!to_string}. The
+(** [of_string s] parses a document produced by {!to_string}, raising
+    {!Parse_error} on malformed JSON or a missing or mistyped key. The
     [per_input_lines] detail is not serialized and comes back empty. *)
 let of_string s : Debugger.trace =
-  let toks = ref (tokenize s) in
-  let next () =
-    match !toks with
-    | [] -> raise (Parse_error "unexpected end")
-    | t :: rest ->
-        toks := rest;
-        t
-  in
-  let expect t =
-    if next () <> t then raise (Parse_error "unexpected token")
-  in
-  let expect_key k =
-    match next () with
-    | Str s when s = k -> expect Colon
-    | _ -> raise (Parse_error ("expected key " ^ k))
-  in
-  let int_list () =
-    expect Lbrack;
-    let rec go acc =
-      match next () with
-      | Rbrack -> List.rev acc
-      | Num v -> (
-          match next () with
-          | Comma -> go (v :: acc)
-          | Rbrack -> List.rev (v :: acc)
-          | _ -> raise (Parse_error "bad int list"))
-      | _ -> raise (Parse_error "bad int list")
-    in
-    go []
+  let module J = Util.Json in
+  let fail what = raise (Parse_error ("expected " ^ what)) in
+  let need what = function Some x -> x | None -> fail what in
+  let key k j = need ("key " ^ k) (J.field k j) in
+  let list conv what j =
+    List.map (fun v -> need what (conv v)) (need what (J.arr j))
   in
   let var_of_string s =
     match String.index_opt s ':' with
@@ -149,48 +65,21 @@ let of_string s : Debugger.trace =
         }
     | None -> { Ir.origin = ""; name = s }
   in
-  expect Lbrace;
-  expect_key "steppable";
-  let steppable = int_list () in
-  expect Comma;
-  expect_key "hit_order";
-  let hit_order = int_list () in
-  expect Comma;
-  expect_key "stepped";
-  expect Lbrack;
+  let doc = J.parse s in
   let stepped = Hashtbl.create 64 in
-  let rec entries () =
-    match next () with
-    | Rbrack -> ()
-    | Lbrace ->
-        expect_key "line";
-        let line = match next () with Num v -> v | _ -> raise (Parse_error "line") in
-        expect Comma;
-        expect_key "vars";
-        expect Lbrack;
-        let rec vars acc =
-          match next () with
-          | Rbrack -> acc
-          | Str s -> (
-              let acc = Debugger.Var_set.add (var_of_string s) acc in
-              match next () with
-              | Comma -> vars acc
-              | Rbrack -> acc
-              | _ -> raise (Parse_error "vars"))
-          | _ -> raise (Parse_error "vars")
-        in
-        let vs = vars Debugger.Var_set.empty in
-        Hashtbl.replace stepped line vs;
-        expect Rbrace;
-        (match next () with
-        | Comma -> entries ()
-        | Rbrack -> ()
-        | _ -> raise (Parse_error "entries"))
-    | _ -> raise (Parse_error "entries")
-  in
-  entries ();
-  expect Rbrace;
-  { Debugger.stepped; steppable; hit_order; per_input_lines = [||] }
+  List.iter
+    (fun e ->
+      let vars = list J.str "variable names" (key "vars" e) in
+      Hashtbl.replace stepped
+        (need "an integer line" (J.int (key "line" e)))
+        (Debugger.Var_set.of_list (List.map var_of_string vars)))
+    (list Option.some "entries" (key "stepped" doc));
+  {
+    Debugger.stepped;
+    steppable = list J.int "integer lines" (key "steppable" doc);
+    hit_order = list J.int "integer lines" (key "hit_order" doc);
+    per_input_lines = [||];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Offline trace comparison                                            *)

@@ -322,22 +322,6 @@ let pipeline_instrument () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us_of_ns ns = Int64.to_float ns /. 1000.0
 
 (** The Chrome [trace_event] JSON object ([{"traceEvents": [...]}]),
@@ -369,7 +353,7 @@ let to_chrome_json (s : session) =
       in
       Buffer.add_string b
         (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%.3f"
-           (json_escape ev.ev_name) ph ev.ev_tid (us_of_ns ev.ev_ts));
+           (Util.Json.escape ev.ev_name) ph ev.ev_tid (us_of_ns ev.ev_ts));
       (match dur with
       | Some d -> Buffer.add_string b (Printf.sprintf ",\"dur\":%.3f" (us_of_ns d))
       | None -> ());
@@ -379,7 +363,7 @@ let to_chrome_json (s : session) =
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char b ',';
             Buffer.add_string b
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+              (Printf.sprintf "\"%s\":\"%s\"" (Util.Json.escape k) (Util.Json.escape v)))
           ev.ev_args;
         Buffer.add_char b '}'
       end;
@@ -525,167 +509,7 @@ let self_time_report (s : session) =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Chrome trace validation (a small generic JSON reader + checks)      *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (text : string) : json =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = text.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = text.[!pos] in
-          advance ();
-          match e with
-          | '"' | '\\' | '/' ->
-              Buffer.add_char b e;
-              go ()
-          | 'n' ->
-              Buffer.add_char b '\n';
-              go ()
-          | 't' ->
-              Buffer.add_char b '\t';
-              go ()
-          | 'r' ->
-              Buffer.add_char b '\r';
-              go ()
-          | 'b' ->
-              Buffer.add_char b '\b';
-              go ()
-          | 'f' ->
-              Buffer.add_char b '\012';
-              go ()
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub text !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              Buffer.add_char b (if code < 128 then Char.chr code else '?');
-              go ()
-          | _ -> fail "unknown escape")
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Jobj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Jarr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Jarr (elems [])
-        end
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+(* Chrome trace validation                                            *)
 
 type validation = {
   v_events : int;  (** events checked (metadata excluded) *)
@@ -700,17 +524,18 @@ type validation = {
     [dur >= 0]; and per [(pid, tid)] the B/E events (in timestamp order)
     form balanced, name-matched nesting. *)
 let validate_chrome (text : string) : (validation, string) result =
-  match parse_json text with
-  | exception Bad_json msg -> Error ("malformed JSON: " ^ msg)
+  let module J = Util.Json in
+  match J.parse text with
+  | exception J.Parse_error msg -> Error ("malformed JSON: " ^ msg)
   | json -> (
       let events =
         match json with
-        | Jobj fields -> (
-            match List.assoc_opt "traceEvents" fields with
-            | Some (Jarr evs) -> Ok evs
+        | J.Obj _ -> (
+            match J.field "traceEvents" json with
+            | Some (J.Arr evs) -> Ok evs
             | Some _ -> Error "\"traceEvents\" is not an array"
             | None -> Error "missing \"traceEvents\"")
-        | Jarr evs -> Ok evs
+        | J.Arr evs -> Ok evs
         | _ -> Error "top level is neither an object nor an array"
       in
       match events with
@@ -724,17 +549,9 @@ let validate_chrome (text : string) : (validation, string) result =
           List.iteri
             (fun i ev ->
               match ev with
-              | Jobj fields -> (
-                  let str k =
-                    match List.assoc_opt k fields with
-                    | Some (Jstr s) -> Some s
-                    | _ -> None
-                  in
-                  let num k =
-                    match List.assoc_opt k fields with
-                    | Some (Jnum f) -> Some f
-                    | _ -> None
-                  in
+              | J.Obj _ -> (
+                  let str k = Option.bind (J.field k ev) J.str in
+                  let num k = Option.bind (J.field k ev) J.num in
                   match (str "name", str "ph") with
                   | None, _ -> fail_ev i "missing string \"name\""
                   | _, None -> fail_ev i "missing string \"ph\""

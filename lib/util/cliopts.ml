@@ -166,13 +166,6 @@ let partial_dir =
        partial JSON files";
   }
 
-let shared =
-  [
-    stats; json; jobs; sanitize; trace; profile; cache_dir; no_cache;
-    no_prefix_cache; socket; listen; executors; timeout; queue_limit;
-    connect; shard; corpus; partial_dir;
-  ]
-
 type common = {
   mutable c_stats : bool;
   mutable c_json : string option;
@@ -183,15 +176,6 @@ type common = {
   mutable c_cache_dir : string option;
   mutable c_no_cache : bool;
   mutable c_no_prefix_cache : bool;
-  mutable c_socket : string option;
-  mutable c_listen : string option;
-  mutable c_executors : int;
-  mutable c_timeout : float option;
-  mutable c_queue_limit : int;
-  mutable c_connect : string option;
-  mutable c_shard : (int * int) option;
-  mutable c_corpus : int option;
-  mutable c_partial_dir : string option;
 }
 
 let defaults () =
@@ -205,15 +189,6 @@ let defaults () =
     c_cache_dir = None;
     c_no_cache = false;
     c_no_prefix_cache = false;
-    c_socket = None;
-    c_listen = None;
-    c_executors = min 4 (Domain.recommended_domain_count ());
-    c_timeout = None;
-    c_queue_limit = 8;
-    c_connect = None;
-    c_shard = None;
-    c_corpus = None;
-    c_partial_dir = None;
   }
 
 (** The one strict shard-spec parser: both front-ends route "--shard"
@@ -248,12 +223,6 @@ let int_value name rest =
   match int_of_string_opt v with
   | Some n -> (n, rest)
   | None -> invalid_arg (Printf.sprintf "%s: not an integer: %s" name v)
-
-let float_value name rest =
-  let v, rest = value name rest in
-  match float_of_string_opt v with
-  | Some f -> (f, rest)
-  | None -> invalid_arg (Printf.sprintf "%s: not a number: %s" name v)
 
 (** [parse c argv] consumes every shared option from [argv] into [c] and
     returns the arguments it did not recognize, in their original
@@ -293,46 +262,6 @@ let parse (c : common) (argv : string list) : string list =
     | a :: rest when a = no_prefix_cache.o_name ->
         c.c_no_prefix_cache <- true;
         go acc rest
-    | a :: rest when a = socket.o_name ->
-        let v, rest = value a rest in
-        c.c_socket <- Some v;
-        go acc rest
-    | a :: rest when a = listen.o_name ->
-        let v, rest = value a rest in
-        c.c_listen <- Some v;
-        go acc rest
-    | a :: rest when a = executors.o_name ->
-        let n, rest = int_value a rest in
-        c.c_executors <- n;
-        go acc rest
-    | a :: rest when a = timeout.o_name ->
-        let f, rest = float_value a rest in
-        c.c_timeout <- Some f;
-        go acc rest
-    | a :: rest when a = queue_limit.o_name ->
-        let n, rest = int_value a rest in
-        c.c_queue_limit <- n;
-        go acc rest
-    | a :: rest when a = connect.o_name ->
-        let v, rest = value a rest in
-        c.c_connect <- Some v;
-        go acc rest
-    | a :: rest when a = shard.o_name -> (
-        let v, rest = value a rest in
-        match parse_shard v with
-        | Ok pair ->
-            c.c_shard <- Some pair;
-            go acc rest
-        | Error msg -> invalid_arg msg)
-    | a :: rest when a = corpus.o_name ->
-        let n, rest = int_value a rest in
-        if n < 1 then invalid_arg (Printf.sprintf "%s: must be >= 1" a);
-        c.c_corpus <- Some n;
-        go acc rest
-    | a :: rest when a = partial_dir.o_name ->
-        let v, rest = value a rest in
-        c.c_partial_dir <- Some v;
-        go acc rest
     | a :: rest -> go (a :: acc) rest
   in
   go [] argv
@@ -348,23 +277,8 @@ let kv_lines (rows : (string * int) list) : string list =
   in
   List.map (fun (n, v) -> Printf.sprintf "%-*s %d" w n v) rows
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let kv_json_rows (rows : (string * int) list) : string list =
   List.map
     (fun (n, v) ->
-      Printf.sprintf "{\"name\": \"%s\", \"value\": %d}" (json_escape n) v)
+      Printf.sprintf "{\"name\": \"%s\", \"value\": %d}" (Json.escape n) v)
     rows

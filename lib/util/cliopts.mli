@@ -29,9 +29,6 @@ val shard : spec
 val corpus : spec
 val partial_dir : spec
 
-val shared : spec list
-(** All of the above, in help order. *)
-
 type common = {
   mutable c_stats : bool;
   mutable c_json : string option;
@@ -42,15 +39,6 @@ type common = {
   mutable c_cache_dir : string option;
   mutable c_no_cache : bool;
   mutable c_no_prefix_cache : bool;
-  mutable c_socket : string option;
-  mutable c_listen : string option;
-  mutable c_executors : int;
-  mutable c_timeout : float option;
-  mutable c_queue_limit : int;
-  mutable c_connect : string option;
-  mutable c_shard : (int * int) option;
-  mutable c_corpus : int option;
-  mutable c_partial_dir : string option;
 }
 
 val defaults : unit -> common
@@ -62,8 +50,8 @@ val parse_shard : string -> (int * int, string) result
     one-line message ready for a [debugtuner: <msg>] usage error. *)
 
 val parse : common -> string list -> string list
-(** [parse c argv] consumes every shared option from [argv] into [c]
-    and returns the unrecognized arguments in their original order.
+(** [parse c argv] consumes the options that have a field in {!common}
+    (the bench harness's switches) from [argv] into [c] and returns the unrecognized arguments in their original order.
     Raises [Invalid_argument] on a missing or malformed option
     argument. *)
 

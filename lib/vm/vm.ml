@@ -328,36 +328,49 @@ let step st (opts : run_opts) sampler =
       done
   | None -> ()
 
+(** The reference core's prologue, also the debugger's session start:
+    fresh globals and machine state, the entry lookup and the entry
+    call frame. *)
+let start (bin : Emit.binary) ~entry ~args ~input =
+  let globals = Hashtbl.create 16 in
+  List.iter
+    (fun (g : Ir.global_def) ->
+      Hashtbl.replace globals g.Ir.g_name (Array.make g.Ir.g_size g.Ir.g_init))
+    bin.Emit.bin_globals;
+  let st =
+    {
+      bin;
+      pregs = Array.make (Mach.num_regs + 1) 0;
+      frames = [];
+      globals;
+      input = Array.of_list input;
+      input_pos = 0;
+      out_rev = [];
+      cost = 0;
+      icount = 0;
+      pc = 0;
+      last_writes = [];
+      last_was_load = false;
+      edges = Hashtbl.create 256;
+      bp_hits_rev = [];
+      halted = false;
+    }
+  in
+  let fi =
+    match Hashtbl.find_opt bin.Emit.fn_by_name entry with
+    | Some idx -> bin.Emit.funcs.(idx)
+    | None -> raise (Runtime_error ("no entry function " ^ entry))
+  in
+  enter_function st fi args ~ret_pc:(-1) ~ret_dst:None;
+  st
+
 (** The original tree-walking interpreter — the executable specification
     the fast core is conformance-tested against, and the fallback for
     binaries the decoder rejects. *)
 module Reference = struct
   let run (bin : Emit.binary) ~entry ?(args = []) ~input (opts : run_opts) :
       result =
-    let globals = Hashtbl.create 16 in
-    List.iter
-      (fun (g : Ir.global_def) ->
-        Hashtbl.replace globals g.Ir.g_name (Array.make g.Ir.g_size g.Ir.g_init))
-      bin.Emit.bin_globals;
-    let st =
-      {
-        bin;
-        pregs = Array.make (Mach.num_regs + 1) 0;
-        frames = [];
-        globals;
-        input = Array.of_list input;
-        input_pos = 0;
-        out_rev = [];
-        cost = 0;
-        icount = 0;
-        pc = 0;
-        last_writes = [];
-        last_was_load = false;
-        edges = Hashtbl.create 256;
-        bp_hits_rev = [];
-        halted = false;
-      }
-    in
+    let st = start bin ~entry ~args ~input in
     let sampler =
       Option.map
         (fun period ->
@@ -369,12 +382,6 @@ module Reference = struct
           })
         opts.sample_period
     in
-    let fi =
-      match Hashtbl.find_opt bin.Emit.fn_by_name entry with
-      | Some idx -> bin.Emit.funcs.(idx)
-      | None -> raise (Runtime_error ("no entry function " ^ entry))
-    in
-    enter_function st fi args ~ret_pc:(-1) ~ret_dst:None;
     let timed_out = ref false in
     (try
        while not st.halted do

@@ -419,6 +419,187 @@ let test_partial_invalid_shard () =
   | Ok _ -> Alcotest.fail "out-of-range shard index accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Golden wire fixture                                                 *)
+
+(* golden_wire.txt pins the canonical bytes of one hand-built value per
+   wire shape — every request kind, view, bench action, cache op and
+   stats selector; every response status and data variant; a partial
+   with non-integral floats; a search frontier artifact — plus the
+   one-line decode error of a fixed list of malformed documents. Each
+   line is "<group> <label> <payload>". A reordered field, a renamed
+   tag or a reworded error fails here; on mismatch the test writes the
+   actual lines to golden_wire.actual in its working directory. *)
+
+let wire_samples () =
+  let cfg = Config.make Config.Gcc Config.O2 in
+  let cfg_d = Config.make ~disabled:[ "inline"; "dce" ] Config.Clang Config.Og in
+  let inline = R.Inline { in_name = "t.c"; in_source = "int main() {\n\treturn \"\\\"; }" } in
+  let req label r =
+    ("req " ^ label, Api.request_to_json r, fun s -> Api.request_of_json s = Ok r)
+  in
+  let compile ?(subject = R.Named "zlib") ?profile ?(sanitize = false) label view =
+    req ("compile-" ^ label)
+      (R.Compile
+         { c_subject = subject; c_config = cfg; c_profile = profile;
+           c_sanitize = sanitize; c_view = view })
+  in
+  let row i cfg avail =
+    { Debugtuner.Experiments.cr_index = i; cr_program = Printf.sprintf "synth-%04d" i;
+      cr_family = "synth"; cr_config = cfg; cr_avail = avail;
+      cr_cov = avail /. 3.0; cr_product = avail *. avail /. 3.0 }
+  in
+  let partial =
+    { Api.Partial.pt_shard = 2; pt_shards = 3; pt_seed = 7; pt_corpus = 12;
+      pt_digest = "0123abcd"; pt_configs = [ "gcc-O2"; "clang-Og-d2" ];
+      pt_programs = 4;
+      pt_rows = [ row 4 "gcc-O2" 0.1; row 5 "clang-Og-d2" (2.0 /. 7.0); row 6 "gcc-O2" 1.0 ] }
+  in
+  let resp label status data =
+    let r =
+      { Resp.status; text = "line one\nline \"two\"\n"; artifact = Some "{\"x\":1}";
+        data; stats = [ ("engine/compile/hits", 3); ("store/compile/misses", 0) ];
+        exit_code = (if status = Resp.Ok then 0 else 1) }
+    in
+    ("resp " ^ label, Api.response_to_json r, fun s -> Api.response_of_json s = Ok r)
+  in
+  let error label decode doc =
+    ( "error " ^ label,
+      (match decode doc with Ok _ -> "accepted" | Error msg -> msg),
+      fun _ -> true )
+  in
+  let req_error label doc = error label Api.request_of_json doc in
+  let frontier =
+    let point disabled debug speedup =
+      { Debugtuner.Tuning.fp_config = Config.make ~disabled Config.Gcc Config.O2;
+        fp_debug = debug; fp_speedup = speedup }
+    in
+    { Debugtuner.Tuning.sr_base = cfg; sr_strategy = Debugtuner.Tuning.Hill_climb;
+      sr_seed = 11; sr_budget = 8; sr_evaluated = 8; sr_resumed = 3;
+      sr_frontier = [ point [] 0.25 1.5; point [ "dce"; "gcse" ] (1.0 /. 3.0) 1.125 ];
+      sr_dominated = 6 }
+  in
+  let job shard =
+    { Api.Job.j_tables = [ "summary" ]; j_seed = 7; j_corpus = 12;
+      j_configs = [ cfg; cfg_d ]; j_shard = shard }
+  in
+  [
+    compile "summary" R.Summary;
+    compile ~subject:inline ~profile:"main 10\n" ~sanitize:true "measure" R.Measure;
+    compile "dump" (R.Dump [ "functions"; "lines" ]);
+    compile "verify" R.Verify;
+    compile "disasm" (R.Disasm (Some "main"));
+    compile "disasm-all" (R.Disasm None);
+    compile "dwarf-size" R.Dwarf_size;
+    compile "passes" R.Passes;
+    compile "pass-trace" R.Pass_trace;
+    compile "trace" (R.Trace { t_entry = Some "fuzz"; t_input = [ 1; -2; 3 ] });
+    compile "debug" (R.Debug { d_entry = None; d_commands = [ "break 3"; "run" ] });
+    compile "sample" (R.Sample { s_entry = Some "main"; s_period = 97 });
+    compile "value-check" (R.Value_check { v_entry = None; v_input = [] });
+    req "rank" (R.Rank { r_config = cfg_d; r_k = 5 });
+    req "tune" (R.Tune { t_config = cfg; t_y = 3 });
+    req "search"
+      (R.Search
+         { se_config = cfg; se_strategy = Debugtuner.Tuning.Bandit; se_budget = 48;
+           se_seed = 9; se_debug_weight = 0.75; se_speed_weight = 1.0 /. 3.0 });
+    req "check-suite" (R.Check { k_subject = None; k_fuzz = 4; k_seed = 2; k_suite = true });
+    req "check-subject"
+      (R.Check { k_subject = Some inline; k_fuzz = 0; k_seed = 1; k_suite = false });
+    req "profile"
+      (R.Profile
+         { p_subject = R.Named "libpng"; p_config = cfg; p_sanitize = false;
+           p_stats = true; p_trace = true });
+    req "bench-cost" (R.Bench { b_subject = R.Named "zlib"; b_config = cfg; b_action = R.Cost });
+    req "bench-exec"
+      (R.Bench
+         { b_subject = inline; b_config = cfg_d;
+           b_action = R.Exec { x_entry = "main"; x_input = [ 4; 5 ] } });
+    req "cache-stats" (R.Cache_op { o_action = R.Op_stats; o_dir = None });
+    req "cache-clear" (R.Cache_op { o_action = R.Op_clear; o_dir = Some "_cache/alt" });
+    req "cache-gc" (R.Cache_op { o_action = R.Op_gc; o_dir = None });
+    req "stats-counters" (R.Stats { s_what = R.Counters });
+    req "stats-suite" (R.Stats { s_what = R.Suite });
+    req "stats-server" (R.Stats { s_what = R.Server });
+    req "experiments" (R.Experiments { e_job = job None });
+    req "experiments-shard" (R.Experiments { e_job = job (Some (2, 3)) });
+    req "merge" (R.Merge { m_partials = [ partial ] });
+    resp "none" Resp.Ok Resp.D_none;
+    resp "error" (Resp.Error "no such program \"x\"") Resp.D_none;
+    resp "overloaded" Resp.Overloaded Resp.D_none;
+    resp "compiled" Resp.Ok
+      (Resp.D_compiled
+         { dc_program = "zlib"; dc_config = "gcc-O2"; dc_instrs = 1234; dc_funcs = 9;
+           dc_text_digest = "deadbeef" });
+    resp "ranked" Resp.Ok
+      (Resp.D_ranked { dr_config = "gcc-O1"; dr_top = [ ("dce", 1.5, 2.0); ("sra", 0.1, 1.0 /. 3.0) ] });
+    resp "tuned" Resp.Ok
+      (Resp.D_tuned
+         { dt_config = "gcc-O2-d2"; dt_disabled = [ "dce"; "sra" ]; dt_debug = 0.625;
+           dt_speedup = 1.0 /. 7.0 });
+    resp "frontier" Resp.Ok
+      (Resp.D_frontier
+         { df_config = "gcc-O2"; df_strategy = "random"; df_seed = 1; df_budget = 16;
+           df_evaluated = 16; df_dominated = 12;
+           df_front = [ ("gcc-O2", 0.5, 1.0); ("gcc-O2-d1", 0.6, 0.95) ] });
+    resp "checked" Resp.Ok
+      (Resp.D_checked
+         { dk_programs = 13; dk_configs = 8; dk_runs = 104; dk_skipped = 2; dk_failures = 1 });
+    resp "cost" Resp.Ok (Resp.D_cost 4242);
+    resp "counters" Resp.Ok (Resp.D_counters [ ("a/b", 1); ("c", -2) ]);
+    resp "partial" Resp.Ok (Resp.D_partial partial);
+    ( "partial floats",
+      Api.partial_to_json partial,
+      fun s -> Api.partial_of_json s = Ok partial );
+    ("frontier search", Api.frontier_json ~config:cfg frontier, fun _ -> true);
+    req_error "malformed" "{\"v\":1,";
+    req_error "missing-v" "{\"kind\":\"stats\",\"what\":\"suite\"}";
+    req_error "foreign-v" "{\"v\":2,\"kind\":\"stats\",\"what\":\"suite\"}";
+    req_error "unknown-kind" "{\"v\":1,\"kind\":\"wat\"}";
+    req_error "missing-field"
+      "{\"v\":1,\"kind\":\"rank\",\"config\":{\"compiler\":\"gcc\",\"level\":\"O2\",\"disabled\":[]}}";
+    req_error "unknown-compiler"
+      "{\"v\":1,\"kind\":\"rank\",\"config\":{\"compiler\":\"icc\",\"level\":\"O2\",\"disabled\":[]},\"k\":3}";
+    req_error "unknown-level"
+      "{\"v\":1,\"kind\":\"tune\",\"config\":{\"compiler\":\"gcc\",\"level\":\"O9\",\"disabled\":[]},\"y\":3}";
+    req_error "unknown-view"
+      "{\"v\":1,\"kind\":\"compile\",\"subject\":{\"name\":\"zlib\"},\"config\":{\"compiler\":\"gcc\",\"level\":\"O2\",\"disabled\":[]},\"profile\":null,\"sanitize\":false,\"view\":{\"kind\":\"wat\"}}";
+    req_error "unknown-action"
+      "{\"v\":1,\"kind\":\"bench\",\"subject\":{\"name\":\"zlib\"},\"config\":{\"compiler\":\"gcc\",\"level\":\"O2\",\"disabled\":[]},\"action\":{\"kind\":\"wat\"}}";
+    req_error "unknown-strategy"
+      "{\"v\":1,\"kind\":\"search\",\"config\":{\"compiler\":\"gcc\",\"level\":\"O2\",\"disabled\":[]},\"strategy\":\"wat\",\"budget\":8,\"seed\":1,\"debug_weight\":1,\"speed_weight\":1}";
+    req_error "unknown-op" "{\"v\":1,\"kind\":\"cache\",\"op\":\"wat\",\"dir\":null}";
+    req_error "unknown-selector" "{\"v\":1,\"kind\":\"stats\",\"what\":\"wat\"}";
+    req_error "bad-shard"
+      "{\"v\":1,\"kind\":\"experiments\",\"job\":{\"tables\":[],\"seed\":1,\"corpus\":4,\"configs\":[],\"shard\":{\"index\":3,\"count\":2}}}";
+    error "bad-partial-shard" Api.partial_of_json
+      "{\"v\":1,\"shard\":3,\"shards\":2,\"seed\":1,\"corpus\":4,\"digest\":\"d\",\"configs\":[],\"programs\":0,\"rows\":[]}";
+    error "unknown-data" Api.response_of_json
+      "{\"v\":1,\"status\":\"ok\",\"exit\":0,\"text\":\"\",\"artifact\":null,\"data\":{\"kind\":\"wat\"},\"stats\":[]}";
+    error "bad-status" Api.response_of_json
+      "{\"v\":1,\"status\":\"maybe\",\"exit\":0,\"text\":\"\",\"artifact\":null,\"data\":{\"kind\":\"none\"},\"stats\":[]}";
+  ]
+
+let test_golden_wire () =
+  let samples = wire_samples () in
+  let actual = List.map (fun (label, bytes, _) -> label ^ " " ^ bytes) samples in
+  let expected =
+    In_channel.with_open_bin "golden_wire.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "golden_wire.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    Alcotest.(check (list string)) "wire bytes match golden_wire.txt" expected actual
+  end;
+  List.iter2
+    (fun (label, _, decodes) line ->
+      let n = String.length label + 1 in
+      checkb (label ^ " decodes back") true
+        (decodes (String.sub line n (String.length line - n))))
+    samples expected
+
+(* ------------------------------------------------------------------ *)
 (* Framing torture                                                     *)
 
 let with_socketpair f =
@@ -818,6 +999,7 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_partial_version_rejected;
     Alcotest.test_case "partial decoder rejects bad shard arithmetic" `Quick
       test_partial_invalid_shard;
+    Alcotest.test_case "golden wire fixture" `Quick test_golden_wire;
     Alcotest.test_case "framing round-trip" `Quick test_framing_roundtrip;
     Alcotest.test_case "framing partial reads" `Quick test_framing_partial_reads;
     Alcotest.test_case "framing oversized prefix" `Quick

@@ -35,8 +35,8 @@ let test_canonical_output () =
     (Trace_json.to_string (Trace_json.of_string (Trace_json.to_string t)))
 
 let test_escape () =
-  Alcotest.(check string) "quotes escaped" "a\\\"b" (Trace_json.escape "a\"b");
-  Alcotest.(check string) "backslash escaped" "a\\\\b" (Trace_json.escape "a\\b")
+  Alcotest.(check string) "quotes escaped" "a\\\"b" (Util.Json.escape "a\"b");
+  Alcotest.(check string) "backslash escaped" "a\\\\b" (Util.Json.escape "a\\b")
 
 let test_parse_errors () =
   List.iter
