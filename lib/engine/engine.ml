@@ -135,8 +135,11 @@ module Disk_store = struct
       acc
       (readdir_sorted (objects_dir t))
 
-  let file_size path = try (Unix.stat path).Unix.st_size with _ -> 0
-  let file_mtime path = try (Unix.stat path).Unix.st_mtime with _ -> 0.0
+  let file_size path =
+    try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
+
+  let file_mtime path =
+    try (Unix.stat path).Unix.st_mtime with Unix.Unix_error _ -> 0.0
 
   let scan_size t = fold_entries t (fun acc ~cache:_ p -> acc + file_size p) 0
 
@@ -337,7 +340,7 @@ module Disk_store = struct
       | payload ->
           note t cache "hits";
           (* LRU clock: a hit refreshes the entry's mtime. *)
-          (try Unix.utimes path 0.0 0.0 with _ -> ());
+          (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
           Some payload
       | exception Bad Other_key ->
           (* An md5 collision between distinct keys: not our entry, so

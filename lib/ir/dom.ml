@@ -49,6 +49,7 @@ let compute (fn : Ir.fn) =
         end)
       order
   done;
+  (* Children in reverse postorder: prepend, then reverse each list once. *)
   let children = Hashtbl.create 16 in
   List.iter
     (fun l ->
@@ -56,9 +57,10 @@ let compute (fn : Ir.fn) =
         match Hashtbl.find_opt idom l with
         | Some p ->
             let existing = Option.value ~default:[] (Hashtbl.find_opt children p) in
-            Hashtbl.replace children p (existing @ [ l ])
+            Hashtbl.replace children p (l :: existing)
         | None -> ())
     order;
+  Hashtbl.filter_map_inplace (fun _ ls -> Some (List.rev ls)) children;
   { idom; order; children }
 
 let idom t l =

@@ -190,7 +190,7 @@ and call st fname argv =
       let scope = Hashtbl.create 8 in
       List.iteri
         (fun i p ->
-          let v = try List.nth argv i with _ -> 0 in
+          let v = Option.value ~default:0 (List.nth_opt argv i) in
           Hashtbl.replace scope p (Scalar (ref v)))
         f.params;
       let fr = { locals = ref [ scope ]; fr_fname = fname } in

@@ -227,8 +227,7 @@ let orphaned_dbg (fn : Ir.fn) =
           | _ -> ())
         b.Ir.instrs)
 
-(** The full cleanup: run to a fixpoint of the component rewrites. *)
-let run (fn : Ir.fn) =
+let rewrite (fn : Ir.fn) =
   fold_branches fn;
   Ir.prune_unreachable fn;
   trivial_phis fn;
@@ -238,5 +237,175 @@ let run (fn : Ir.fn) =
   dead_phis fn;
   Ir.prune_unreachable fn;
   orphaned_dbg fn
+
+(* ------------------------------------------------------------------ *)
+(* The "nothing to do" scan                                            *)
+
+exception Dirty
+
+let same_operand a b =
+  match (a, b) with
+  | Ir.Reg x, Ir.Reg y | Ir.Imm x, Ir.Imm y -> x = y
+  | _ -> false
+
+(* Does [trivial_phis] remove [p]: exactly one distinct operand other
+   than the phi's own register? *)
+let trivial (p : Ir.phi) =
+  let self = Ir.Reg p.Ir.p_dst in
+  let rec go seen = function
+    | [] -> Option.is_some seen
+    | (_, o) :: rest -> (
+        if same_operand o self then go seen rest
+        else
+          match seen with
+          | None -> go (Some o) rest
+          | Some s -> same_operand o s && go seen rest)
+  in
+  go None p.Ir.p_args
+
+(* Would [remove_forwarders] remove [b]? The same shape test and
+   [pred_conflict] rule, on the stored [preds]. *)
+let removable_forwarder (fn : Ir.fn) l (b : Ir.block) t (tb : Ir.block) =
+  l <> fn.Ir.entry && t <> l && b.Ir.phis = []
+  && List.for_all
+       (fun (i : Ir.instr) -> match i.Ir.ik with Ir.Dbg _ -> true | _ -> false)
+       b.Ir.instrs
+  && not
+       (tb.Ir.phis <> []
+       && List.exists (fun p -> List.mem p tb.Ir.preds) b.Ir.preds)
+
+(* "Clean" means each step of [rewrite], in turn, is a no-op: no
+   constant or equal-target [Cbr]; every block reachable and the layout
+   exactly the block set, each label once; stored [preds] equal to the
+   recomputed ones, in order; every phi argument's label a predecessor;
+   no trivial phi, removable forwarder or mergeable [Br] pair; every phi
+   used by real code; no debug binding naming an undefined register.
+   Any index out of range, or any label that is not a block, answers
+   "dirty" and leaves the verdict (or the exception) to [rewrite]. *)
+let is_clean (fn : Ir.fn) =
+  let nl = max fn.Ir.next_label 0 and nr = max fn.Ir.next_reg 0 in
+  (* Label marks: 1 in the layout, 2 reached from entry. *)
+  let lmark = Bytes.make nl '\000' in
+  let lget l = if l < 0 || l >= nl then 0 else Char.code (Bytes.get lmark l) in
+  let lset l bit =
+    Bytes.set lmark l (Char.unsafe_chr (Char.code (Bytes.get lmark l) lor bit))
+  in
+  (* Register marks: 1 defined, 2 used by real code, 4 named by a debug
+     binding, 8 a phi destination. *)
+  let rmark = Bytes.make nr '\000' in
+  let rset r bit =
+    if r < 0 || r >= nr then raise Dirty;
+    Bytes.set rmark r (Char.unsafe_chr (Char.code (Bytes.get rmark r) lor bit))
+  in
+  let def r = rset r 1 and use_reg r = rset r 2 in
+  let use = function Ir.Reg r -> use_reg r | Ir.Imm _ -> () in
+  try
+    let first =
+      match fn.Ir.layout with
+      | l :: _ -> (
+          match Hashtbl.find_opt fn.Ir.blocks l with
+          | Some b -> b
+          | None -> raise Dirty)
+      | [] -> raise Dirty
+    in
+    (* [blk] and [cursor] are read only at labels marked in the layout;
+       [first] is filler. [cursor.(s)] walks [s]'s stored preds while
+       the recomputation order is replayed below. *)
+    let blk = Array.make nl first in
+    let cursor = Array.make nl [] in
+    let nblocks = ref 0 in
+    List.iter
+      (fun l ->
+        if l < 0 || l >= nl || lget l land 1 <> 0 then raise Dirty;
+        match Hashtbl.find_opt fn.Ir.blocks l with
+        | None -> raise Dirty
+        | Some b ->
+            lset l 1;
+            blk.(l) <- b;
+            cursor.(l) <- b.Ir.preds;
+            incr nblocks)
+      fn.Ir.layout;
+    if !nblocks <> Hashtbl.length fn.Ir.blocks then raise Dirty;
+    (* Reachability from entry, checking every successor is a block. *)
+    let stack = Array.make nl 0 in
+    let top = ref 0 and reached = ref 0 in
+    let push l =
+      let m = lget l in
+      if m land 1 = 0 then raise Dirty;
+      if m land 2 = 0 then begin
+        lset l 2;
+        incr reached;
+        stack.(!top) <- l;
+        incr top
+      end
+    in
+    push fn.Ir.entry;
+    while !top > 0 do
+      decr top;
+      match blk.(stack.(!top)).Ir.term with
+      | Ir.Ret _ -> ()
+      | Ir.Br t -> push t
+      | Ir.Cbr (_, l1, l2) ->
+          push l1;
+          push l2
+    done;
+    if !reached <> !nblocks then raise Dirty;
+    (* Replay [Ir.recompute_preds]: edge [l -> s] must be next in
+       [s]'s stored preds. *)
+    let edge l s =
+      match cursor.(s) with
+      | p :: rest when p = l -> cursor.(s) <- rest
+      | _ -> raise Dirty
+    in
+    List.iter (fun (r, _) -> def r) fn.Ir.f_params;
+    List.iter
+      (fun l ->
+        let b = blk.(l) in
+        (match b.Ir.term with
+        | Ir.Cbr (Ir.Imm _, _, _) -> raise Dirty
+        | Ir.Cbr (c, l1, l2) ->
+            if l1 = l2 then raise Dirty;
+            use c;
+            edge l l1;
+            edge l l2
+        | Ir.Br t ->
+            edge l t;
+            let tb = blk.(t) in
+            let mergeable =
+              t <> l && t <> fn.Ir.entry && tb.Ir.phis = []
+              && match tb.Ir.preds with [ p ] -> p = l | _ -> false
+            in
+            if mergeable || removable_forwarder fn l b t tb then raise Dirty
+        | Ir.Ret o -> Option.iter use o);
+        List.iter
+          (fun (p : Ir.phi) ->
+            rset p.Ir.p_dst (8 lor 1);
+            if trivial p then raise Dirty;
+            List.iter
+              (fun (pl, o) ->
+                if not (List.mem pl b.Ir.preds) then raise Dirty;
+                use o)
+              p.Ir.p_args)
+          b.Ir.phis;
+        List.iter
+          (fun (i : Ir.instr) ->
+            match i.Ir.ik with
+            | Ir.Dbg (_, Some (Ir.Reg r)) -> rset r 4
+            | ik ->
+                List.iter def (Ir.def_of_ikind ik);
+                List.iter use_reg (Ir.real_uses_of_ikind ik))
+          b.Ir.instrs)
+      fn.Ir.layout;
+    List.iter (fun l -> if cursor.(l) <> [] then raise Dirty) fn.Ir.layout;
+    for r = 0 to nr - 1 do
+      let m = Char.code (Bytes.get rmark r) in
+      if (m land 4 <> 0 && m land 1 = 0) || (m land 8 <> 0 && m land 2 = 0) then
+        raise Dirty
+    done;
+    true
+  with Dirty -> false
+
+(* Most calls find nothing to do, so the scan answers that first. *)
+let run (fn : Ir.fn) = if not (is_clean fn) then rewrite fn
 
 let run_program (p : Ir.program) = Ir.iter_funcs run p

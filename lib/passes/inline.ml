@@ -94,7 +94,7 @@ let inline_at (caller : Ir.fn) ~host_label ~(call_instr : Ir.instr)
   let reg_map : (Ir.reg, Ir.operand) Hashtbl.t = Hashtbl.create 32 in
   List.iteri
     (fun i (r, _) ->
-      let arg = try List.nth args i with _ -> Ir.Imm 0 in
+      let arg = Option.value ~default:(Ir.Imm 0) (List.nth_opt args i) in
       Hashtbl.replace reg_map r arg)
     callee.Ir.f_params;
   let fresh_of : (Ir.reg, Ir.reg) Hashtbl.t = Hashtbl.create 32 in
@@ -199,7 +199,7 @@ let inline_at (caller : Ir.fn) ~host_label ~(call_instr : Ir.instr)
   entry_copy.Ir.instrs <-
     List.mapi
       (fun i (_, (v : Ir.var_id)) ->
-        let arg = try List.nth args i with _ -> Ir.Imm 0 in
+        let arg = Option.value ~default:(Ir.Imm 0) (List.nth_opt args i) in
         { Ir.ik = Ir.Dbg (v, Some arg); line = call_instr.Ir.line })
       callee.Ir.f_params
     @ entry_copy.Ir.instrs;

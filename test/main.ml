@@ -7,6 +7,7 @@ let () =
       ("ir", Test_ir.tests);
       ("passes", Test_passes.tests);
       ("passes-edge", Test_passes_edge.tests);
+      ("cleanup", Test_cleanup.tests);
       ("backend", Test_backend.tests);
       ("vm", Test_vm.tests);
       ("debugger+metrics", Test_debugger.tests);

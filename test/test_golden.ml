@@ -1,9 +1,10 @@
 (** Golden binary digests. Seeded synthetic programs compiled under the
     seven standard configurations and under every single-pass disable of
-    gcc-O2 and clang-O2 must reproduce the committed [full_digest] of
-    every binary: each table, frontier and store key depends on these
-    bytes, so a compile-path change that moves one of them changes
-    behaviour, however fast it is.
+    gcc-O2 and clang-O2 (seeds 1-8), and under every single-pass disable
+    of gcc-O3 and clang-O3 (seeds 1-4), must reproduce the committed
+    [full_digest] of every binary: each table, frontier and store key
+    depends on these bytes, so a compile-path change that moves one of
+    them changes behaviour, however fast it is.
 
     [golden_digests.txt] holds one line per compile, [seed digest
     fingerprint], in generation order. The digests hash [Marshal] output,
@@ -16,32 +17,41 @@
 module C = Debugtuner.Config
 module T = Debugtuner.Toolchain
 
-let seeds = List.init 8 (fun i -> i + 1)
+let single_disables level comp =
+  List.map
+    (fun pass -> C.make ~disabled:[ pass ] comp level)
+    (T.pass_names (C.make comp level))
 
-let configs =
-  let standard =
-    List.concat_map
-      (fun comp -> List.map (C.make comp) (C.standard_levels comp))
-      [ C.Gcc; C.Clang ]
-  in
-  let single_disables comp =
-    List.map
-      (fun pass -> C.make ~disabled:[ pass ] comp C.O2)
-      (T.pass_names (C.make comp C.O2))
-  in
-  standard @ single_disables C.Gcc @ single_disables C.Clang
+let standard =
+  List.concat_map
+    (fun comp -> List.map (C.make comp) (C.standard_levels comp))
+    [ C.Gcc; C.Clang ]
+
+(* Fixture lines come in two blocks, in this order: seeds 1-8 under the
+   standard levels and the O2 single disables, then seeds 1-4 under the
+   O3 single disables. *)
+let blocks =
+  [
+    ( List.init 8 (fun i -> i + 1),
+      standard @ single_disables C.O2 C.Gcc @ single_disables C.O2 C.Clang );
+    ( List.init 4 (fun i -> i + 1),
+      single_disables C.O3 C.Gcc @ single_disables C.O3 C.Clang );
+  ]
 
 let actual_lines () =
   List.concat_map
-    (fun seed ->
-      let ast = Minic.Typecheck.parse_and_check (Synth.generate ~seed) in
-      List.map
-        (fun config ->
-          let bin = T.compile ast ~config ~roots:[ "main" ] in
-          Printf.sprintf "%d %s %s" seed bin.Emit.full_digest
-            (C.fingerprint config))
-        configs)
-    seeds
+    (fun (seeds, configs) ->
+      List.concat_map
+        (fun seed ->
+          let ast = Minic.Typecheck.parse_and_check (Synth.generate ~seed) in
+          List.map
+            (fun config ->
+              let bin = T.compile ast ~config ~roots:[ "main" ] in
+              Printf.sprintf "%d %s %s" seed bin.Emit.full_digest
+                (C.fingerprint config))
+            configs)
+        seeds)
+    blocks
 
 let read_lines path =
   In_channel.with_open_bin path In_channel.input_all
