@@ -528,47 +528,47 @@ let shard_scenario () =
       [ row 1 pr1 rw1; row 2 pr2 rw2; row 4 pr4 rw4 ];
   ]
 
-let experiments ctx : (string * (unit -> Util.Tablefmt.t list)) list =
+let experiments : (string * (E.ctx -> Util.Tablefmt.t list)) list =
   [
-    ("table1", fun () -> [ E.table1 ctx ]);
-    ("table2", fun () -> [ E.table2 ctx ]);
-    ("table3", fun () -> [ E.table3 ctx ]);
-    ("table4", fun () -> [ E.table4 ctx ]);
-    ("table5", fun () -> [ E.table5 ctx ]);
-    ("table6", fun () -> [ E.table6 ctx ]);
-    ("table7", fun () -> [ E.table7 ctx ]);
+    ("table1", fun ctx -> [ E.table1 ctx ]);
+    ("table2", fun ctx -> [ E.table2 ctx ]);
+    ("table3", fun ctx -> [ E.table3 ctx ]);
+    ("table4", fun ctx -> [ E.table4 ctx ]);
+    ("table5", fun ctx -> [ E.table5 ctx ]);
+    ("table6", fun ctx -> [ E.table6 ctx ]);
+    ("table7", fun ctx -> [ E.table7 ctx ]);
     ( "fig2",
-      fun () ->
+      fun ctx ->
         print_string (E.fig2_scatter ctx);
         print_newline ();
         [ E.fig2 ctx ] );
     ( "table8",
-      fun () ->
+      fun ctx ->
         let top, bottom = E.table8 ctx in
         [ top; bottom ] );
-    ("table9", fun () -> [ E.table9 ctx ]);
-    ("table10", fun () -> [ E.table10 ctx ]);
-    ("table11", fun () -> [ E.table11 ctx ]);
-    ("table12", fun () -> [ E.table12 ctx ]);
+    ("table9", fun ctx -> [ E.table9 ctx ]);
+    ("table10", fun ctx -> [ E.table10 ctx ]);
+    ("table11", fun ctx -> [ E.table11 ctx ]);
+    ("table12", fun ctx -> [ E.table12 ctx ]);
     ( "table13",
-      fun () ->
+      fun ctx ->
         let t13, _ = E.table13_14 ctx in
         [ t13 ] );
     ( "table14",
-      fun () ->
+      fun ctx ->
         let _, t14 = E.table13_14 ctx in
         [ t14 ] );
     ( "fig3",
-      fun () ->
+      fun ctx ->
         let f3, _ = E.fig3_table15 ctx in
         [ f3 ] );
     ( "table15",
-      fun () ->
+      fun ctx ->
         let _, t15 = E.fig3_table15 ctx in
         [ t15 ] );
-    ("fig4", fun () -> [ E.fig4 ctx ]);
+    ("fig4", fun ctx -> [ E.fig4 ctx ]);
     ( "ablations",
-      fun () ->
+      fun ctx ->
         let cfg = Debugtuner.Config.make Debugtuner.Config.Gcc Debugtuner.Config.O2 in
         let suite = E.suite ctx in
         [
@@ -582,7 +582,7 @@ let experiments ctx : (string * (unit -> Util.Tablefmt.t list)) list =
          gcc-O2 over the suite — the cost driver the pass-prefix cache
          targets (compare BENCH_baseline.json cold wall clock with
          --no-prefix-cache). *)
-      fun () ->
+      fun ctx ->
         let cfg =
           Debugtuner.Config.make Debugtuner.Config.Gcc Debugtuner.Config.O2
         in
@@ -605,20 +605,20 @@ let experiments ctx : (string * (unit -> Util.Tablefmt.t list)) list =
             ~header:[ "#"; "pass"; "avg rank"; "+%" ]
             rows;
         ] );
-    ("clang-og", fun () -> [ E.clang_og_table ctx ]);
-    ("per-program", fun () -> [ E.per_program_table ctx ]);
-    ("dwarf-sizes", fun () -> [ E.dwarf_sizes_table ctx ]);
-    ("autofdo-rounds", fun () -> [ E.autofdo_rounds_table ctx ]);
+    ("clang-og", fun ctx -> [ E.clang_og_table ctx ]);
+    ("per-program", fun ctx -> [ E.per_program_table ctx ]);
+    ("dwarf-sizes", fun ctx -> [ E.dwarf_sizes_table ctx ]);
+    ("autofdo-rounds", fun ctx -> [ E.autofdo_rounds_table ctx ]);
     ( "search",
       (* ROADMAP item 2: the search layer's experiment — the hill-climb
          front at the pinned (budget, seed) vs the greedy gcc-O2-dy
          points. Bumps search/greedy_total, search/greedy_dominated and
          search/margin_ppm, which compare.ml's dominance gate reads from
          the cold-run JSON counter table. *)
-      fun () -> [ E.search_front_table ctx ] );
-    ("serve", fun () -> serve_scenario ());
-    ("vm", fun () -> vm_scenario ());
-    ("shard", fun () -> shard_scenario ());
+      fun ctx -> [ E.search_front_table ctx ] );
+    ("serve", fun _ -> serve_scenario ());
+    ("vm", fun _ -> vm_scenario ());
+    ("shard", fun _ -> shard_scenario ());
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -736,8 +736,19 @@ let () =
   (match Sys.argv with
   | [| _; "--shard-worker"; spec; dir |] -> shard_worker_main spec dir
   | _ -> ());
+  let row_names = List.map fst experiments in
+  let usage msg =
+    Printf.eprintf
+      "bench: %s\nusage: main.exe [--only ROW...] [--micro] [--synth N] \
+       [shared options]; rows: %s\n"
+      msg (String.concat " " row_names);
+    exit 2
+  in
   let common = Util.Cliopts.defaults () in
-  let rest = Util.Cliopts.parse common (List.tl (Array.to_list Sys.argv)) in
+  let rest =
+    try Util.Cliopts.parse common (List.tl (Array.to_list Sys.argv))
+    with Invalid_argument msg -> usage msg
+  in
   let rec parse only micro synth = function
     | [] -> (only, micro, synth)
     | "--only" :: rest ->
@@ -749,12 +760,20 @@ let () =
           in
           take [] rest
         in
+        if names = [] then usage "--only needs at least one row";
         parse (only @ names) micro synth rest'
     | "--micro" :: rest -> parse only true synth rest
-    | "--synth" :: n :: rest -> parse only micro (int_of_string n) rest
-    | _ :: rest -> parse only micro synth rest
+    | [ "--synth" ] -> usage "--synth requires an argument"
+    | "--synth" :: n :: rest -> (
+        match int_of_string_opt n with
+        | Some n -> parse only micro n rest
+        | None -> usage ("--synth: not an integer: " ^ n))
+    | a :: _ -> usage ("unknown argument: " ^ a)
   in
   let only, micro, synth = parse [] false 40 rest in
+  List.iter
+    (fun n -> if not (List.mem n row_names) then usage ("no such row: " ^ n))
+    only;
   let jobs = common.Util.Cliopts.c_jobs in
   if common.Util.Cliopts.c_sanitize then Sanitize.enabled := true;
   if common.Util.Cliopts.c_no_prefix_cache then
@@ -785,12 +804,12 @@ let () =
   in
   let selected =
     match only with
-    | [] -> experiments ctx
-    | names -> List.filter (fun (n, _) -> List.mem n names) (experiments ctx)
+    | [] -> experiments
+    | names -> List.filter (fun (n, _) -> List.mem n names) experiments
   in
   List.iter
     (fun (name, build) ->
-      let tables = timed name build in
+      let tables = timed name (fun () -> build ctx) in
       List.iter
         (fun t ->
           Util.Tablefmt.print t;

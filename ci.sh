@@ -265,6 +265,12 @@ else
   DEBUGTUNER_SERVE_CONCURRENCY_FLOOR=0.45
 fi
 export DEBUGTUNER_SERVE_CONCURRENCY_FLOOR
+# A row name that matches nothing must fail the harness, not run an
+# empty selection and pass.
+if dune exec bench/main.exe -- --only no-such-row > "$scratch/bench-bad-row.out" 2>&1; then
+  echo "ci: bench/main.exe --only no-such-row exited 0" >&2
+  exit 1
+fi
 mkdir "$scratch/bench-cache"
 dune exec bench/main.exe -- --only table1 ranking serve vm shard search --cache-dir "$scratch/bench-cache" \
   --json "$scratch/bench-cold.json" > "$scratch/bench-cold.out"

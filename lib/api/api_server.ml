@@ -304,7 +304,14 @@ let handle_session t ~session fd =
     | exception (Framing.Closed | Framing.Oversized _ | Unix.Unix_error _) ->
         ()
   in
-  (try loop () with _ -> ());
+  (match loop () with
+  | () | (exception (Framing.Closed | Framing.Oversized _ | Unix.Unix_error _))
+    ->
+      ()
+  | exception _ ->
+      (* Not a transport failure: a request escaped its handler. The
+         session still closes, but never silently. *)
+      Util.Counters.add Util.Counters.global "serve/session_errors" 1);
   (try Unix.close fd with Unix.Unix_error _ -> ());
   bump t (fun t -> t.live_sessions <- t.live_sessions - 1)
 

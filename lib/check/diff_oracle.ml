@@ -240,7 +240,11 @@ let synth_inputs = [ []; [ 3; 1; 4; 1; 5; 9; 2; 6 ] ]
     ddmin predicate: the candidate must still parse/typecheck, still
     have a ground truth, and still fail the same configuration (any
     failure kind counts — the bug may shift shape while shrinking, which
-    is fine for a reproducer). *)
+    is fine for a reproducer). Only a front-end rejection of the
+    candidate reads as [false]: {!run_one} already turns compiler
+    exceptions into a failure, and anything else (out of memory, stack
+    overflow) is not evidence about the candidate, so it propagates
+    rather than steer the shrink toward a different bug. *)
 let source_still_fails source (cfg : C.t) ~input =
   try
     let ast = Minic.Typecheck.parse_and_check source in
@@ -249,7 +253,8 @@ let source_still_fails source (cfg : C.t) ~input =
     | Some expected ->
         run_one ast ~roots:[ "main" ] ~entry:"main" ~input cfg ~expected
         <> None
-  with _ -> false
+  with Minic.Lexer.Error _ | Minic.Parser.Error _ | Minic.Typecheck.Error _ ->
+    false
 
 (** [shrink_source source cfg ~input] minimizes a failing synthetic
     program line-by-line with {!Cmin.shrink_list}. *)

@@ -210,7 +210,7 @@ let check_lines_valid ~pass (fn : Ir.fn) =
    experiments *measure*, not an invariant the pipeline guarantees. *)
 let check_dominance ~pass (fn : Ir.fn) =
   let t = Dom.compute fn in
-  let reach = Ir.reachable fn in
+  let reach = Dom.reachable t in
   (* Definition sites: params before phis before instructions. *)
   let site = Hashtbl.create 64 in
   List.iter
@@ -238,14 +238,14 @@ let check_dominance ~pass (fn : Ir.fn) =
               "%s: r%d used at %s before its definition in the same block L%d"
               fn.Ir.f_name r ctx use_label
         end
-        else if Hashtbl.mem reach dl && not (Dom.dominates t dl use_label) then
+        else if reach dl && not (Dom.dominates t dl use_label) then
           fail ~pass Dominance
             "%s: use of r%d at %s (L%d) not dominated by its definition (L%d)"
             fn.Ir.f_name r ctx use_label dl
   in
   Hashtbl.iter
     (fun l (b : Ir.block) ->
-      if Hashtbl.mem reach l then begin
+      if reach l then begin
         List.iter
           (fun (p : Ir.phi) ->
             List.iter
@@ -254,8 +254,8 @@ let check_dominance ~pass (fn : Ir.fn) =
                   (fun r ->
                     match Hashtbl.find_opt site r with
                     | Some (dl, _)
-                      when dl <> pl && Hashtbl.mem reach pl
-                           && Hashtbl.mem reach dl
+                      when dl <> pl && reach pl
+                           && reach dl
                            && not (Dom.dominates t dl pl) ->
                         fail ~pass Dominance
                           "%s: phi r%d arg r%d (edge L%d->L%d) not dominated \

@@ -3,108 +3,102 @@
     Implements the Cooper–Harvey–Kennedy iterative algorithm over the
     reverse postorder; simple and fast enough for our function sizes.
     Used by mem2reg (phi placement), GVN and the dominator-based
-    optimizations. *)
+    optimizations. Every table is an array indexed by label, sized by
+    the function's [next_label] when the tree is computed; a label past
+    that (one made afterwards) is absent, as an unreachable one is. *)
 
 type t = {
-  idom : (int, int) Hashtbl.t;  (** immediate dominator; entry maps to itself *)
+  idom : int array;  (** immediate dominator; entry maps to itself, -1 if unreachable *)
   order : int list;  (** reverse postorder of reachable blocks *)
-  children : (int, int list) Hashtbl.t;  (** dominator-tree children *)
+  children : int list array;  (** dominator-tree children, in reverse postorder *)
 }
 
 let compute (fn : Ir.fn) =
   Ir.recompute_preds fn;
   let order = Ir.rpo fn in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i l -> Hashtbl.replace index l i) order;
-  let idom = Hashtbl.create 16 in
-  Hashtbl.replace idom fn.Ir.entry fn.Ir.entry;
-  let intersect a b =
-    (* Walk both fingers up by RPO index until they meet. *)
-    let rec go a b =
-      if a = b then a
-      else
-        let ia = Hashtbl.find index a and ib = Hashtbl.find index b in
-        if ia > ib then go (Hashtbl.find idom a) b else go a (Hashtbl.find idom b)
-    in
-    go a b
+  let n = fn.Ir.next_label in
+  let rpo = Array.of_list order in
+  let index = Array.make n (-1) in
+  Array.iteri (fun i l -> index.(l) <- i) rpo;
+  let idom = Array.make n (-1) in
+  let entry = fn.Ir.entry in
+  idom.(entry) <- entry;
+  (* Walk both fingers up by RPO index until they meet. *)
+  let rec intersect a b =
+    if a = b then a
+    else if index.(a) > index.(b) then intersect idom.(a) b
+    else intersect a idom.(b)
   in
+  (* The preds were just rebuilt from the layout, so each is below [n];
+     only processed ones (idom set, hence reachable) take part. *)
+  let preds = Array.map (fun l -> (Ir.block fn l).Ir.preds) rpo in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun l ->
-        if l <> fn.Ir.entry then begin
-          let preds =
-            List.filter (fun p -> Hashtbl.mem index p) (Ir.block fn l).Ir.preds
-          in
-          let processed = List.filter (Hashtbl.mem idom) preds in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if Hashtbl.find_opt idom l <> Some new_idom then begin
-                Hashtbl.replace idom l new_idom;
-                changed := true
-              end
-        end)
-      order
+    for i = 1 to Array.length rpo - 1 do
+      let l = rpo.(i) in
+      let new_idom =
+        List.fold_left
+          (fun acc p ->
+            if idom.(p) < 0 then acc else if acc < 0 then p else intersect acc p)
+          (-1) preds.(i)
+      in
+      if new_idom >= 0 && idom.(l) <> new_idom then begin
+        idom.(l) <- new_idom;
+        changed := true
+      end
+    done
   done;
-  (* Children in reverse postorder: prepend, then reverse each list once. *)
-  let children = Hashtbl.create 16 in
-  List.iter
-    (fun l ->
-      if l <> fn.Ir.entry then
-        match Hashtbl.find_opt idom l with
-        | Some p ->
-            let existing = Option.value ~default:[] (Hashtbl.find_opt children p) in
-            Hashtbl.replace children p (l :: existing)
-        | None -> ())
-    order;
-  Hashtbl.filter_map_inplace (fun _ ls -> Some (List.rev ls)) children;
+  (* Children in reverse postorder: prepend from the back. *)
+  let children = Array.make n [] in
+  for i = Array.length rpo - 1 downto 1 do
+    let l = rpo.(i) in
+    let p = idom.(l) in
+    if p >= 0 then children.(p) <- l :: children.(p)
+  done;
   { idom; order; children }
 
+let order t = t.order
+
+let reachable t l = l >= 0 && l < Array.length t.idom && t.idom.(l) >= 0
+
 let idom t l =
-  match Hashtbl.find_opt t.idom l with
-  | Some d when d <> l -> Some d
-  | _ -> None
+  if reachable t l && t.idom.(l) <> l then Some t.idom.(l) else None
 
-let children t l = Option.value ~default:[] (Hashtbl.find_opt t.children l)
+let children t l =
+  if l >= 0 && l < Array.length t.children then t.children.(l) else []
 
-(** [dominates t a b] — does [a] dominate [b] (reflexively)? *)
 let dominates t a b =
-  let rec up l = if l = a then true else match idom t l with Some p -> up p | None -> false in
+  let rec up l =
+    l = a || (reachable t l && t.idom.(l) <> l && up t.idom.(l))
+  in
   up b
 
-(** Dominance frontier of every reachable block (the classic
-    runner-to-idom walk from each join point's predecessors). *)
 let frontiers (fn : Ir.fn) t =
-  let df = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace df l []) t.order;
+  let n = Array.length t.idom in
+  let df = Array.make n [] in
+  (* [last.(r) = l]: [l] is already in [df.(r)] (each join [l] is
+     visited once, so a stamp replaces a membership scan). *)
+  let last = Array.make n (-1) in
   List.iter
     (fun l ->
-      match Hashtbl.find_opt t.idom l with
-      | None -> ()
-      | Some id ->
-          let b = Ir.block fn l in
-          let preds = List.filter (fun p -> Hashtbl.mem t.idom p) b.Ir.preds in
-          if List.length preds >= 2 then
-            List.iter
-              (fun p ->
-                let runner = ref p in
-                let continue_walk = ref true in
-                while !continue_walk do
-                  if !runner = id then continue_walk := false
-                  else begin
-                    let cur =
-                      Option.value ~default:[] (Hashtbl.find_opt df !runner)
-                    in
-                    if not (List.mem l cur) then
-                      Hashtbl.replace df !runner (l :: cur);
-                    match Hashtbl.find_opt t.idom !runner with
-                    | Some up when up <> !runner -> runner := up
-                    | Some _ | None -> continue_walk := false
-                  end
-                done)
-              preds)
+      let id = t.idom.(l) in
+      let preds = List.filter (reachable t) (Ir.block fn l).Ir.preds in
+      match preds with
+      | [] | [ _ ] -> ()
+      | _ ->
+          List.iter
+            (fun p ->
+              let runner = ref p in
+              while !runner <> id && !runner >= 0 do
+                let r = !runner in
+                if last.(r) <> l then begin
+                  last.(r) <- l;
+                  df.(r) <- l :: df.(r)
+                end;
+                let up = t.idom.(r) in
+                runner := if up = r then -1 else up
+              done)
+            preds)
     t.order;
-  df
+  fun l -> if l >= 0 && l < n then df.(l) else []

@@ -209,57 +209,128 @@ let succs = function
   | Br l -> [ l ]
   | Cbr (_, l1, l2) -> if l1 = l2 then [ l1 ] else [ l1; l2 ]
 
+(* The CFG kernels below index arrays and byte marks by label, sized by
+   [next_label]. [new_block] is the only maker of blocks, so every label
+   in [blocks] is below it ({!Verify} checks this); a label at or above
+   it names no block, and the kernels answer for it as a table miss
+   does. *)
+
+(** Rebuild every block's [preds]: the blocks branching to it, in layout
+    order, each once (a label repeated in the layout counts at its first
+    occurrence). *)
 let recompute_preds fn =
-  Hashtbl.iter (fun _ b -> b.preds <- []) fn.blocks;
+  let n = fn.next_label in
+  let acc = Array.make n [] and seen = Bytes.make n '\000' in
+  let targets = ref 0 in
   List.iter
     (fun l ->
-      let b = block fn l in
-      List.iter
-        (fun s ->
-          let sb = block fn s in
-          if not (List.mem l sb.preds) then sb.preds <- sb.preds @ [ l ])
-        (succs b.term))
-    fn.layout
+      let t = (block fn l).term in
+      if Bytes.get seen l = '\000' then begin
+        Bytes.set seen l '\001';
+        let add s =
+          if s >= n then ignore (block fn s);
+          if acc.(s) = [] then incr targets;
+          acc.(s) <- l :: acc.(s)
+        in
+        match t with
+        | Ret _ -> ()
+        | Br s -> add s
+        | Cbr (_, s1, s2) ->
+            add s1;
+            if s2 <> s1 then add s2
+      end)
+    fn.layout;
+  let found = ref 0 in
+  Hashtbl.iter
+    (fun l b ->
+      match acc.(l) with
+      | [] -> b.preds <- []
+      | [ _ ] as p ->
+          incr found;
+          b.preds <- p
+      | p ->
+          incr found;
+          b.preds <- List.rev p)
+    fn.blocks;
+  (* Some branch targets a label with no block: fail on the first one in
+     layout order, as a lookup per edge would have. *)
+  if !found < !targets then
+    List.iter
+      (fun l -> List.iter (fun s -> ignore (block fn s)) (succs (block fn l).term))
+      fn.layout
 
-(** Labels reachable from entry, as a set. *)
-let reachable fn =
-  let seen = Hashtbl.create 16 in
-  let rec go l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.replace seen l ();
-      List.iter go (succs (block fn l).term)
+(* One iterative depth-first walk from entry, visiting successors in
+   [succs] order as a recursive walk would. Returns the byte marks of the
+   reached labels, their reverse postorder (entry first) and their
+   count. *)
+let walk fn =
+  let n = fn.next_label in
+  let seen = Bytes.make n '\000' in
+  let stack = Array.make n fn.entry and next = Array.make n 0 in
+  let terms = Array.make n (Ret None) in
+  let sp = ref 0 and order = ref [] and count = ref 1 in
+  Bytes.set seen fn.entry '\001';
+  terms.(0) <- (block fn fn.entry).term;
+  while !sp >= 0 do
+    let i = !sp in
+    let k = next.(i) in
+    let s =
+      match (terms.(i), k) with
+      | Br s, 0 | Cbr (_, s, _), 0 -> s
+      | Cbr (_, s1, s), 1 when s <> s1 -> s
+      | _ -> -1
+    in
+    if s < 0 then begin
+      order := stack.(i) :: !order;
+      decr sp
     end
-  in
-  go fn.entry;
-  seen
+    else begin
+      next.(i) <- k + 1;
+      if s >= n then ignore (block fn s);
+      if Bytes.get seen s = '\000' then begin
+        Bytes.set seen s '\001';
+        incr count;
+        sp := i + 1;
+        stack.(i + 1) <- s;
+        next.(i + 1) <- 0;
+        terms.(i + 1) <- (block fn s).term
+      end
+    end
+  done;
+  (seen, !order, !count)
+
+let marked seen l = l >= 0 && l < Bytes.length seen && Bytes.get seen l <> '\000'
+
+(** Is a label reachable from entry? The walk is done once, when
+    [reachable fn] is applied. *)
+let reachable fn =
+  let seen, _, _ = walk fn in
+  marked seen
 
 (** Reverse postorder of reachable blocks, entry first. *)
 let rpo fn =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec go l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.replace seen l ();
-      List.iter go (succs (block fn l).term);
-      order := l :: !order
-    end
-  in
-  go fn.entry;
-  !order
+  let _, order, _ = walk fn in
+  order
 
-(** Remove unreachable blocks from the table and the layout, and prune
-    phi arguments coming from removed predecessors. *)
+(** Remove unreachable blocks from the table and the layout, recompute
+    [preds], and prune phi arguments coming from non-predecessors. What
+    needs no change is left physically as it was. *)
 let prune_unreachable fn =
-  let live = reachable fn in
-  fn.layout <- List.filter (Hashtbl.mem live) fn.layout;
-  Hashtbl.iter
-    (fun l _ -> if not (Hashtbl.mem live l) then Hashtbl.remove fn.blocks l)
-    (Hashtbl.copy fn.blocks);
+  let seen, _, count = walk fn in
+  let live = marked seen in
+  if count < Hashtbl.length fn.blocks then
+    List.iter (Hashtbl.remove fn.blocks)
+      (Hashtbl.fold (fun l _ acc -> if live l then acc else l :: acc) fn.blocks []);
+  if not (List.for_all live fn.layout) then
+    fn.layout <- List.filter live fn.layout;
   recompute_preds fn;
   Hashtbl.iter
     (fun _ b ->
       List.iter
-        (fun p -> p.p_args <- List.filter (fun (l, _) -> List.mem l b.preds) p.p_args)
+        (fun p ->
+          let from_pred (l, _) = List.mem l b.preds in
+          if not (List.for_all from_pred p.p_args) then
+            p.p_args <- List.filter from_pred p.p_args)
         b.phis)
     fn.blocks
 

@@ -14,25 +14,20 @@ type loop = {
   depth : int;  (** 1 for outermost *)
 }
 
-type t = { loops : loop list; depth_of : (int, int) Hashtbl.t }
+type t = { loops : loop list; depth_of : int array  (** by label; 0 outside any loop *) }
 
+(** [find fn dom] takes a tree {!Dom.compute} has just built: the
+    natural-loop walk reads the [preds] that computation refreshed. *)
 let find (fn : Ir.fn) (dom : Dom.t) =
-  Ir.recompute_preds fn;
-  let back_edges = ref [] in
+  let n = fn.Ir.next_label in
+  (* Latches of each header, in discovery order once reversed. *)
+  let latches = Array.make n [] in
   List.iter
     (fun l ->
-      let b = Ir.block fn l in
       List.iter
-        (fun s -> if Dom.dominates dom s l then back_edges := (l, s) :: !back_edges)
-        (Ir.succs b.Ir.term))
-    dom.Dom.order;
-  (* Group back edges by header. *)
-  let by_header = Hashtbl.create 8 in
-  List.iter
-    (fun (t, h) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_header h) in
-      Hashtbl.replace by_header h (t :: cur))
-    !back_edges;
+        (fun s -> if Dom.dominates dom s l then latches.(s) <- l :: latches.(s))
+        (Ir.succs (Ir.block fn l).Ir.term))
+    (Dom.order dom);
   let natural_loop header latches =
     let body = ref (Label_set.singleton header) in
     let stack = ref latches in
@@ -43,38 +38,35 @@ let find (fn : Ir.fn) (dom : Dom.t) =
           stack := rest;
           if not (Label_set.mem l !body) then begin
             body := Label_set.add l !body;
-            stack := (Ir.block fn l).Ir.preds @ !stack
+            stack := List.rev_append (Ir.block fn l).Ir.preds !stack
           end
     done;
     !body
   in
-  let loops =
-    Hashtbl.fold
-      (fun header latches acc ->
-        { header; latches; body = natural_loop header latches; depth = 1 } :: acc)
-      by_header []
-  in
-  (* Nesting depth of a block: number of loop bodies containing it. *)
-  let depth_of = Hashtbl.create 16 in
+  (* Headers in ascending label order: the deterministic loop order. *)
+  let loops = ref [] in
+  for header = n - 1 downto 0 do
+    match latches.(header) with
+    | [] -> ()
+    | ls ->
+        let latches = List.rev ls in
+        loops :=
+          { header; latches; body = natural_loop header latches; depth = 1 }
+          :: !loops
+  done;
+  (* Nesting depth of a reachable block: number of loop bodies
+     containing it. *)
+  let depth_of = Array.make n 0 in
   List.iter
-    (fun l ->
-      let d =
-        List.fold_left
-          (fun acc lp -> if Label_set.mem l lp.body then acc + 1 else acc)
-          0 loops
-      in
-      Hashtbl.replace depth_of l d)
-    dom.Dom.order;
-  let loops =
-    List.map
-      (fun lp -> { lp with depth = Hashtbl.find depth_of lp.header })
-      loops
-  in
-  (* Deterministic order: by header label. *)
-  let loops = List.sort (fun a b -> compare a.header b.header) loops in
+    (fun lp ->
+      Label_set.iter
+        (fun l -> if Dom.reachable dom l then depth_of.(l) <- depth_of.(l) + 1)
+        lp.body)
+    !loops;
+  let loops = List.map (fun lp -> { lp with depth = depth_of.(lp.header) }) !loops in
   { loops; depth_of }
 
-let depth t l = Option.value ~default:0 (Hashtbl.find_opt t.depth_of l)
+let depth t l = if l >= 0 && l < Array.length t.depth_of then t.depth_of.(l) else 0
 
 (** Blocks outside the loop that branch into its header. *)
 let entering (fn : Ir.fn) lp =

@@ -63,7 +63,7 @@ let run ?only (fn : Ir.fn) =
                     Hashtbl.replace phi_slot (d, id) (phi, s.Ir.s_var);
                     work := d :: !work
                   end)
-                (Option.value ~default:[] (Hashtbl.find_opt df b))
+                (df b)
         done)
       slots;
     (* Renaming walk over the dominator tree. *)

@@ -6,9 +6,14 @@ exception Invalid of string
 let failf fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
 
 let check_fn (fn : Ir.fn) =
-  (* Validate terminator targets before anything walks successors. *)
+  (* Validate labels and terminator targets before anything walks
+     successors: the CFG kernels index arrays by label below
+     [next_label]. *)
   Hashtbl.iter
     (fun l (b : Ir.block) ->
+      if l < 0 || l >= fn.Ir.next_label then
+        failf "%s: block %d is not below next_label %d" fn.Ir.f_name l
+          fn.Ir.next_label;
       List.iter
         (fun s ->
           if not (Hashtbl.mem fn.Ir.blocks s) then
@@ -40,7 +45,7 @@ let check_fn (fn : Ir.fn) =
         (Ir.succs b.Ir.term);
       (* Reachable blocks: each phi has exactly one argument per
          predecessor. *)
-      if Hashtbl.mem reachable l then
+      if reachable l then
         List.iter
           (fun (p : Ir.phi) ->
             let arg_labels = List.map fst p.Ir.p_args in
@@ -67,7 +72,7 @@ let check_fn (fn : Ir.fn) =
      strict for pre-SSA code where merges go through slots). *)
   Hashtbl.iter
     (fun l (b : Ir.block) ->
-      if Hashtbl.mem reachable l then begin
+      if reachable l then begin
         let check_use r =
           if not (Hashtbl.mem seen_defs r) then
             failf "%s: use of undefined register r%d in block %d" fn.Ir.f_name r l

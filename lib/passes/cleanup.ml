@@ -186,7 +186,7 @@ let dead_phis (fn : Ir.fn) =
         b.Ir.phis <-
           List.filter
             (fun (p : Ir.phi) ->
-              if Hashtbl.mem counts p.Ir.p_dst then true
+              if Putil.use_count counts p.Ir.p_dst > 0 then true
               else begin
                 Hashtbl.replace killed p.Ir.p_dst ();
                 changed := true;

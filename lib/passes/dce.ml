@@ -12,7 +12,7 @@ let run ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
   while !changed do
     changed := false;
     let counts = Putil.use_counts fn in
-    let used r = Hashtbl.mem counts r in
+    let used r = Putil.use_count counts r > 0 in
     Ir.iter_blocks fn (fun b ->
         b.Ir.phis <-
           List.filter

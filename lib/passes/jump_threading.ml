@@ -140,7 +140,7 @@ let threadable_block (b : Ir.block) counts =
       | Ir.Bin (_, d, _, _) when Putil.pure_ikind i.Ir.ik ->
           (match b.Ir.term with
           | Ir.Cbr (Ir.Reg c, _, _) when c = d ->
-              Hashtbl.find_opt counts d = Some 1
+              Putil.use_count counts d = 1
           | _ -> false)
       | _ -> false)
     b.Ir.instrs

@@ -29,12 +29,20 @@ let replace_uses (fn : Ir.fn) (map : (Ir.reg, Ir.operand) Hashtbl.t) =
         | None -> None)
   end
 
-(** Registers defined anywhere in the function, with their use counts
-    (debug bindings excluded). *)
+(** Use counts of every register (debug bindings excluded), indexed by
+    register; read them with {!use_count}. *)
 let use_counts (fn : Ir.fn) =
-  let counts = Hashtbl.create 64 in
+  let counts = ref (Array.make fn.Ir.next_reg 0) in
   let bump r =
-    Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
+    let c = !counts in
+    if r < Array.length c then c.(r) <- c.(r) + 1
+    else begin
+      (* A use of a register no [fresh_reg] made (hand-built IR). *)
+      let c' = Array.make (2 * r + 1) 0 in
+      Array.blit c 0 c' 0 (Array.length c);
+      c'.(r) <- 1;
+      counts := c'
+    end
   in
   Ir.iter_blocks fn (fun b ->
       List.iter
@@ -45,7 +53,10 @@ let use_counts (fn : Ir.fn) =
         (fun (i : Ir.instr) -> List.iter bump (Ir.real_uses_of_ikind i.Ir.ik))
         b.Ir.instrs;
       List.iter bump (Ir.term_uses b.Ir.term));
-  counts
+  !counts
+
+(** How many real uses [r] has in a {!use_counts} table. *)
+let use_count counts r = if r < Array.length counts then counts.(r) else 0
 
 (** Is the instruction free of side effects (deletable when its results
     are unused)? [pure_calls] lists functions proven pure. *)

@@ -2,7 +2,8 @@
 
     Every counter in the repository lives in a {!t}: the process-wide
     {!global} table ([sanitize/*], [prefix/*], [shard/*], [search/*],
-    [vm/*] rows), one table per measurement engine ([engine/*]), one
+    [vm/*] rows, and [serve/session_errors]: daemon sessions closed by
+    an exception other than a transport failure), one table per measurement engine ([engine/*]), one
     per disk-store handle ([store/*]) and one per observability session
     ([obs/*]). Row names are the names the stats table renders.
 

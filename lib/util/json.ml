@@ -148,7 +148,7 @@ let parse (text : string) : t =
               pos := !pos + 4;
               let code =
                 try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
+                with Failure _ -> fail "bad \\u escape"
               in
               Buffer.add_char b (if code < 256 then Char.chr code else '?');
               go ()

@@ -30,6 +30,20 @@ let test_report_shape () =
   Alcotest.(check bool) "summary line" true
     (String.length (Diff_oracle.report_to_string r) > 0)
 
+(* The ddmin predicate reads a front-end rejection as "no longer
+   fails"; it does not swallow other exceptions. *)
+let test_unparsable_candidate () =
+  let cfg = Debugtuner.Config.(make Gcc O2) in
+  List.iter
+    (fun (what, src) ->
+      Alcotest.(check bool) what false
+        (Diff_oracle.source_still_fails src cfg ~input:[]))
+    [
+      ("lexer error", "int main() { return 1 $ 2; }");
+      ("parse error", "int main( {");
+      ("type error", "int main() { return undefined_name; }");
+    ]
+
 let tests =
   List.map
     (fun (p : Suite_types.sprogram) ->
@@ -40,4 +54,6 @@ let tests =
   @ [
       Alcotest.test_case "oracle: synthetic programs" `Slow test_synth_clean;
       Alcotest.test_case "report shape" `Quick test_report_shape;
+      Alcotest.test_case "unparsable shrink candidate" `Quick
+        test_unparsable_candidate;
     ]

@@ -130,20 +130,216 @@ let qcheck_dominance_frontier =
         (fun fn ->
           let t = Dom.compute fn in
           let df = Dom.frontiers fn t in
-          Hashtbl.fold
-            (fun b frontier ok ->
-              ok
-              && List.for_all
-                   (fun f ->
-                     let fb = Ir.block fn f in
-                     List.exists
-                       (fun p ->
-                         Hashtbl.mem t.Dom.idom p && Dom.dominates t b p)
-                       fb.Ir.preds
-                     && (b = f || not (Dom.dominates t b f)))
-                   frontier)
-            df true)
+          List.for_all
+            (fun b ->
+              List.for_all
+                (fun f ->
+                  let fb = Ir.block fn f in
+                  List.exists
+                    (fun p -> Dom.reachable t p && Dom.dominates t b p)
+                    fb.Ir.preds
+                  && (b = f || not (Dom.dominates t b f)))
+                (df b))
+            (Dom.order t))
         (optimized_funcs ~seed ~level:levels.(li)))
+
+(* ------------------------------------------------------------------ *)
+(* CFG kernels against reference implementations                       *)
+
+(* The list-and-hash-table kernels the dense ones replaced, kept here
+   only as references. *)
+let reference_rpo (fn : Ir.fn) =
+  let seen = Hashtbl.create 16 in
+  let order = ref [] in
+  let rec go l =
+    if not (Hashtbl.mem seen l) then begin
+      Hashtbl.replace seen l ();
+      List.iter go (Ir.succs (Ir.block fn l).Ir.term);
+      order := l :: !order
+    end
+  in
+  go fn.Ir.entry;
+  !order
+
+(* Predecessor lists by appending each layout block, once, to its
+   successors' lists; returned without touching [fn]. *)
+let reference_preds (fn : Ir.fn) =
+  let preds = Hashtbl.create 16 in
+  let get l = Option.value ~default:[] (Hashtbl.find_opt preds l) in
+  List.iter
+    (fun l ->
+      List.iter
+        (fun s -> if not (List.mem l (get s)) then Hashtbl.replace preds s (get s @ [ l ]))
+        (Ir.succs (Ir.block fn l).Ir.term))
+    fn.Ir.layout;
+  Hashtbl.fold (fun l _ acc -> (l, get l) :: acc) fn.Ir.blocks []
+  |> List.sort compare
+
+let stored_preds (fn : Ir.fn) =
+  Hashtbl.fold (fun l (b : Ir.block) acc -> (l, b.Ir.preds) :: acc) fn.Ir.blocks []
+  |> List.sort compare
+
+(* Labels reachable from entry without passing through [avoid]. *)
+let reachable_avoiding (fn : Ir.fn) avoid =
+  let seen = Hashtbl.create 16 in
+  let rec go l =
+    if l <> avoid && not (Hashtbl.mem seen l) then begin
+      Hashtbl.replace seen l ();
+      List.iter go (Ir.succs (Ir.block fn l).Ir.term)
+    end
+  in
+  go fn.Ir.entry;
+  seen
+
+(* [a] strictly dominates [b] iff [b] is reachable but not once [a] is
+   removed; [idom b] is the strict dominator every other one
+   dominates. *)
+let brute_idom_ok (fn : Ir.fn) =
+  let t = Dom.compute fn in
+  let reach = reference_rpo fn in
+  let cut = List.map (fun a -> (a, reachable_avoiding fn a)) reach in
+  let sdom a b = a <> b && not (Hashtbl.mem (List.assoc a cut) b) in
+  List.for_all
+    (fun b ->
+      let strict = List.filter (fun a -> sdom a b) reach in
+      let closest =
+        List.filter
+          (fun a -> List.for_all (fun a' -> a' = a || sdom a' a) strict)
+          strict
+      in
+      Dom.idom t b = (match closest with [ a ] -> Some a | _ -> None)
+      && (b = fn.Ir.entry) = (strict = [])
+      && List.for_all (fun a -> Dom.dominates t a b = (a = b || sdom a b)) reach)
+    reach
+
+(* Each block's dominator-tree children are exactly the blocks it is
+   the idom of, listed in reverse postorder. *)
+let children_ok (fn : Ir.fn) =
+  let t = Dom.compute fn in
+  let order = Dom.order t in
+  List.for_all
+    (fun l -> Dom.children t l = List.filter (fun c -> Dom.idom t c = Some l) order)
+    order
+
+let preds_ok (fn : Ir.fn) =
+  let expected = reference_preds fn in
+  Ir.recompute_preds fn;
+  stored_preds fn = expected
+
+let prune_state (fn : Ir.fn) =
+  ( Ir.fn_to_string fn,
+    fn.Ir.layout,
+    stored_preds fn,
+    Hashtbl.fold
+      (fun l (b : Ir.block) acc ->
+        (l, List.map (fun (p : Ir.phi) -> p.Ir.p_args) b.Ir.phis) :: acc)
+      fn.Ir.blocks []
+    |> List.sort compare )
+
+let prune_idempotent (fn : Ir.fn) =
+  Ir.prune_unreachable fn;
+  let once = prune_state fn in
+  Ir.prune_unreachable fn;
+  prune_state fn = once
+
+(* A tree knows nothing of labels made after it was computed. *)
+let past_arrays_ok (fn : Ir.fn) =
+  let t = Dom.compute fn in
+  let loops = Loops.find fn t in
+  let df = Dom.frontiers fn t in
+  let counts = Putil.use_counts fn in
+  let fresh = (Ir.new_block fn).Ir.b_label in
+  let reg = Ir.fresh_reg fn in
+  let result =
+    Dom.idom t fresh = None
+    && Dom.children t fresh = []
+    && (not (Dom.reachable t fresh))
+    && Dom.dominates t fresh fresh
+    && (not (Dom.dominates t fresh fn.Ir.entry))
+    && (not (Dom.dominates t fn.Ir.entry fresh))
+    && df fresh = []
+    && Loops.depth loops fresh = 0
+    && Putil.use_count counts reg = 0
+  in
+  Hashtbl.remove fn.Ir.blocks fresh;
+  fn.Ir.layout <- List.filter (fun l -> l <> fresh) fn.Ir.layout;
+  result
+
+let kernels_ok fn =
+  Ir.rpo fn = reference_rpo fn
+  && preds_ok fn && brute_idom_ok fn && children_ok fn && past_arrays_ok fn
+  && prune_idempotent fn
+
+let qcheck_kernels_vs_reference =
+  QCheck.Test.make
+    ~name:"CFG kernels agree with reference and brute-force versions"
+    ~count:15 arb_fn_seed (fun (seed, li) ->
+      List.for_all kernels_ok (optimized_funcs ~seed ~level:levels.(li)))
+
+(* Hand-built shapes the pipeline rarely or never produces. [blocks]:
+   (label, term, phis) for labels 0..n-1, entry 0; [layout] defaults
+   to label order. *)
+let hand_cfg ?layout blocks =
+  let fn = Ir.create_fn ~name:"h" ~line:1 ~params:[] in
+  List.iter (fun _ -> ignore (Ir.new_block fn)) (List.tl blocks);
+  List.iter
+    (fun (l, term, phis) ->
+      let b = Ir.block fn l in
+      b.Ir.term <- term;
+      b.Ir.phis <-
+        List.mapi (fun i args -> { Ir.p_dst = 100 + (10 * l) + i; p_args = args }) phis)
+    blocks;
+  Option.iter (fun ly -> fn.Ir.layout <- ly) layout;
+  fn
+
+let c = Ir.Imm 1
+
+let hand_cases () =
+  [
+    ( "unreachable blocks and a stale phi argument",
+      hand_cfg
+        [
+          (0, Ir.Cbr (c, 1, 2), []);
+          (1, Ir.Br 3, []);
+          (2, Ir.Br 3, []);
+          (3, Ir.Ret None, [ [ (1, Ir.Imm 1); (2, Ir.Imm 2); (4, Ir.Imm 4) ] ]);
+          (4, Ir.Br 3, []);
+          (5, Ir.Br 5, []);
+        ] );
+    ( "self-loops",
+      hand_cfg
+        [ (0, Ir.Br 1, []); (1, Ir.Cbr (c, 1, 2), []); (2, Ir.Br 2, []) ] );
+    ( "cbr with equal targets",
+      hand_cfg [ (0, Ir.Cbr (c, 1, 1), []); (1, Ir.Ret None, []) ] );
+    ( "entry with predecessors",
+      hand_cfg
+        [
+          (0, Ir.Br 1, []);
+          (1, Ir.Cbr (c, 0, 2), []);
+          (2, Ir.Cbr (c, 1, 3), []);
+          (3, Ir.Ret None, []);
+        ] );
+    ( "duplicate layout entries",
+      hand_cfg ~layout:[ 0; 1; 2; 1; 3; 2 ]
+        [
+          (0, Ir.Cbr (c, 1, 2), []);
+          (1, Ir.Br 3, []);
+          (2, Ir.Cbr (c, 1, 3), []);
+          (3, Ir.Ret None, [ [ (1, Ir.Imm 1); (2, Ir.Imm 2) ] ]);
+        ] );
+  ]
+
+let test_kernels_hand_built () =
+  List.iter
+    (fun (name, fn) -> Alcotest.(check bool) name true (kernels_ok fn))
+    (hand_cases ());
+  (* Pruning drops exactly the unreachable blocks and their phi
+     arguments. *)
+  let _, fn = List.hd (hand_cases ()) in
+  Ir.prune_unreachable fn;
+  Alcotest.(check (list int)) "layout" [ 0; 1; 2; 3 ] fn.Ir.layout;
+  Alcotest.(check bool) "phi args" true
+    ((List.hd (Ir.block fn 3).Ir.phis).Ir.p_args = [ (1, Ir.Imm 1); (2, Ir.Imm 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* Liveness                                                            *)
@@ -350,4 +546,9 @@ let tests =
       qcheck_div_rem_algebra;
       qcheck_comparison_coherence;
       qcheck_line_table_shape;
+      qcheck_kernels_vs_reference;
+    ]
+  @ [
+      Alcotest.test_case "CFG kernels on hand-built shapes" `Quick
+        test_kernels_hand_built;
     ]

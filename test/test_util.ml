@@ -136,8 +136,18 @@ let test_scatter () =
   Alcotest.(check bool) "collision keeps the later marker" true
     (not (String.contains out2 'p') && String.contains out2 'q')
 
+(* A [\u] escape decodes four hex digits; anything else is a parse
+   error, not an escaped exception of the number parser. *)
+let test_json_unicode_escape () =
+  Alcotest.(check bool) "\\u0041 decodes" true
+    (Util.Json.parse "\"\\u0041\"" = Util.Json.Str "A");
+  match Util.Json.parse "\"\\u12G4\"" with
+  | exception Util.Json.Parse_error _ -> ()
+  | _ -> Alcotest.fail "\\u12G4 should be a parse error"
+
 let tests =
   [
+    Alcotest.test_case "json bad unicode escape" `Quick test_json_unicode_escape;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng seed sensitivity" `Quick test_rng_seed_sensitivity;
     Alcotest.test_case "rng int range" `Quick test_rng_int_range;
